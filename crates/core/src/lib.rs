@@ -68,7 +68,7 @@ pub use pipeline::{IngestOutput, PipelineOptions, PipelineStats};
 pub use reader::{CsvPointParser, GeometryParser, WktLineParser};
 pub use rebalance::{
     apply_updates, migrate_cells, DriftTracker, MigrationStats, RebalancePolicy, RebalanceReport,
-    Rebalancer, Update, UpdateStats,
+    Rebalancer, ReplicaStore, Update, UpdateStats,
 };
 pub use snapshot::{
     read_partitioned, read_partitioned_frames, write_partitioned, SnapshotMeta,

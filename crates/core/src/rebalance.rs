@@ -9,8 +9,9 @@
 //!
 //! * [`apply_updates`] routes an [`Update`] batch through the staged
 //!   chunked [`ExchangePlan`] to the ranks owning the overlapping cells
-//!   (exactly the ingest pipeline's routing rule), applying received
-//!   inserts and deletes to the local replica set as rounds complete;
+//!   (exactly the ingest pipeline's routing rule), handing each received
+//!   insert and delete to the rank's [`ReplicaStore`] as rounds complete
+//!   (the query engine's resident index keeps its R-tree in step there);
 //! * [`DriftTracker`] maintains the local per-cell reference-feature
 //!   histogram incrementally as updates arrive — the same histogram
 //!   [`AdaptiveBisection`] bisects at ingest time — and produces the
@@ -38,6 +39,7 @@ use crate::exchange::{
 };
 use crate::grid::UniformGrid;
 use crate::{CoreError, Feature, Result};
+use mvio_geom::Rect;
 use mvio_msim::{Comm, ReduceOp, Work};
 
 /// Environment knob selecting the rebalance policy: unset, `0` or `off`
@@ -129,10 +131,10 @@ pub struct UpdateStats {
 }
 
 /// Whether `cell` is the reference cell of a feature with envelope
-/// `mbr` — the engine's kNN dedup rule, shared here so the drift
-/// histogram counts each feature exactly once globally (degenerate
-/// reference corners fall back to the lowest overlapping cell).
-fn is_reference(sd: &dyn SpatialDecomposition, cell: u32, mbr: &mvio_geom::Rect) -> bool {
+/// `mbr` — the engine's kNN dedup rule, shared with the drift histogram
+/// so each feature counts exactly once globally (degenerate reference
+/// corners fall back to the lowest overlapping cell).
+pub fn is_reference(sd: &dyn SpatialDecomposition, cell: u32, mbr: &Rect) -> bool {
     match sd.reference_cell(mbr) {
         Some(c) => c == cell,
         None => sd.cells_for_rect_vec(mbr).first() == Some(&cell),
@@ -180,12 +182,9 @@ impl DriftTracker {
         t
     }
 
-    /// Applies one replica arrival/removal: bumps the cell's count when
-    /// the replica is its feature's reference copy.
-    fn record(&mut self, sd: &dyn SpatialDecomposition, cell: u32, f: &Feature, delta: i64) {
-        if is_reference(sd, cell, &f.geometry.envelope()) {
-            self.counts[cell as usize] += delta;
-        }
+    /// Applies one reference-replica arrival (`+1`) or removal (`-1`).
+    fn record(&mut self, cell: u32, delta: i64) {
+        self.counts[cell as usize] += delta;
     }
 
     /// The global per-cell feature histogram: one element-wise allreduce
@@ -218,6 +217,34 @@ impl DriftTracker {
     }
 }
 
+/// A rank's resident replica set as [`apply_updates`] mutates it: the
+/// hand-off that lets the owner keep derived structures (envelopes,
+/// reference flags, a spatial index) in step with every received
+/// replica instead of rebuilding them after the batch.
+pub trait ReplicaStore {
+    /// Installs a replica of `feature` in `cell`. `envelope` is the
+    /// feature's envelope and `reference` whether `cell` is its
+    /// reference cell ([`is_reference`]).
+    fn insert_replica(
+        &mut self,
+        comm: &mut Comm,
+        cell: u32,
+        feature: Feature,
+        envelope: Rect,
+        reference: bool,
+    );
+
+    /// Removes one resident replica equal to `(cell, feature)`, whose
+    /// envelope is `envelope`; `false` when none matches.
+    fn remove_replica(
+        &mut self,
+        comm: &mut Comm,
+        cell: u32,
+        feature: &Feature,
+        envelope: &Rect,
+    ) -> bool;
+}
+
 /// Applies a batch of streaming updates to a resident partition.
 /// Collective — every rank must call it together, each with its own
 /// (possibly empty) batch.
@@ -225,10 +252,10 @@ impl DriftTracker {
 /// Inserts and deletes are routed to the ranks owning their overlapping
 /// cells over two staged [`ExchangePlan`] runs (inserts first, then
 /// deletes, so a batch that inserts a feature and deletes it again
-/// resolves to its absence on every rank). Received records are applied
-/// to `owned` inside the exchange sinks, overlapped with the rounds
-/// still in flight; `tracker`, when supplied, absorbs every applied
-/// reference-replica delta.
+/// resolves to its absence on every rank). Each received record is
+/// handed to `store` inside the exchange sinks, overlapped with the
+/// rounds still in flight; `tracker`, when supplied, absorbs every
+/// applied reference-replica delta.
 ///
 /// Validation is symmetric: an insert with a non-finite/empty envelope
 /// or one not intersecting the resident bounds (the fixed cell tiling
@@ -238,7 +265,7 @@ impl DriftTracker {
 pub fn apply_updates(
     comm: &mut Comm,
     sd: &dyn SpatialDecomposition,
-    owned: &mut Vec<(u32, Feature)>,
+    store: &mut dyn ReplicaStore,
     updates: &[Update],
     chunk: ExchangeChunk,
     mut tracker: Option<&mut DriftTracker>,
@@ -310,13 +337,15 @@ pub fn apply_updates(
 
     // Trip 1: inserts land as fresh replicas.
     stats.insert_exchange = comm.labeled("rebalance.inserts", |c| {
-        plan.run_batch_rounds_ctx(c, inserts, &mut |_, _round, per_src| {
+        plan.run_batch_rounds_ctx(c, inserts, &mut |comm, _round, per_src| {
             for records in per_src {
                 for (cell, f) in records {
-                    if let Some(t) = tracker.as_deref_mut() {
-                        t.record(sd, cell, &f, 1);
+                    let env = f.geometry.envelope();
+                    let reference = is_reference(sd, cell, &env);
+                    if let (true, Some(t)) = (reference, tracker.as_deref_mut()) {
+                        t.record(cell, 1);
                     }
-                    owned.push((cell, f));
+                    store.insert_replica(comm, cell, f, env, reference);
                     stats.inserted_replicas += 1;
                 }
             }
@@ -326,19 +355,20 @@ pub fn apply_updates(
 
     // Trip 2: each delete record removes one matching resident replica.
     stats.delete_exchange = comm.labeled("rebalance.deletes", |c| {
-        plan.run_batch_rounds_ctx(c, deletes, &mut |_, _round, per_src| {
+        plan.run_batch_rounds_ctx(c, deletes, &mut |comm, _round, per_src| {
             for records in per_src {
                 for (cell, f) in records {
-                    match owned.iter().position(|(oc, of)| *oc == cell && *of == f) {
-                        Some(at) => {
-                            owned.swap_remove(at);
-                            if let Some(t) = tracker.as_deref_mut() {
-                                t.record(sd, cell, &f, -1);
-                            }
-                            stats.deleted_replicas += 1;
-                        }
-                        None => stats.missing_deletes += 1,
+                    let env = f.geometry.envelope();
+                    if !store.remove_replica(comm, cell, &f, &env) {
+                        stats.missing_deletes += 1;
+                        continue;
                     }
+                    if let Some(t) = tracker.as_deref_mut() {
+                        if is_reference(sd, cell, &env) {
+                            t.record(cell, -1);
+                        }
+                    }
+                    stats.deleted_replicas += 1;
                 }
             }
             Ok(())
@@ -557,8 +587,25 @@ mod tests {
     use super::*;
     use crate::decomp::UniformDecomposition;
     use crate::grid::{CellMap, GridSpec};
-    use mvio_geom::{Geometry, Point, Rect};
+    use mvio_geom::{Geometry, Point};
     use mvio_msim::{Topology, World, WorldConfig};
+
+    /// The plain replica list as an update target: no derived index.
+    impl ReplicaStore for Vec<(u32, Feature)> {
+        fn insert_replica(&mut self, _: &mut Comm, cell: u32, f: Feature, _: Rect, _: bool) {
+            self.push((cell, f));
+        }
+
+        fn remove_replica(&mut self, _: &mut Comm, cell: u32, f: &Feature, _: &Rect) -> bool {
+            match self.iter().position(|(oc, of)| *oc == cell && of == f) {
+                Some(at) => {
+                    self.swap_remove(at);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
 
     fn grid(side: u32, world: f64) -> UniformGrid {
         UniformGrid::new(Rect::new(0.0, 0.0, world, world), GridSpec::square(side))

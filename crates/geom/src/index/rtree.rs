@@ -1,11 +1,16 @@
-//! An R-tree with STR (Sort-Tile-Recursive) bulk loading and quadratic-split
-//! insertion.
+//! An R-tree with STR (Sort-Tile-Recursive) bulk loading, quadratic-split
+//! insertion, removal and a best-first nearest-neighbour walk.
 //!
 //! This mirrors how the paper uses GEOS's `STRtree`: bulk-build an index
 //! over one geometry collection (or the grid-cell boundaries), then query it
-//! with candidate MBRs during the filter phase.
+//! with candidate MBRs during the filter phase. The resident query engine
+//! additionally keeps one tree up to date across streaming updates
+//! ([`RTree::insert`], [`RTree::remove`]) and answers kNN queries with
+//! [`RTree::best_first`].
 
 use crate::rect::Rect;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Maximum entries per node before a split.
 const MAX_ENTRIES: usize = 16;
@@ -19,9 +24,34 @@ enum Node<T> {
 }
 
 impl<T> Node<T> {
+    fn leaf(entries: Vec<(Rect, T)>) -> Self {
+        let mut node = Node::Leaf {
+            mbr: Rect::EMPTY,
+            entries,
+        };
+        node.recompute_mbr();
+        node
+    }
+
+    fn inner(children: Vec<Node<T>>) -> Self {
+        let mut node = Node::Inner {
+            mbr: Rect::EMPTY,
+            children,
+        };
+        node.recompute_mbr();
+        node
+    }
+
     fn mbr(&self) -> Rect {
         match self {
             Node::Leaf { mbr, .. } | Node::Inner { mbr, .. } => *mbr,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        match self {
+            Node::Leaf { entries, .. } => entries.is_empty(),
+            Node::Inner { children, .. } => children.is_empty(),
         }
     }
 
@@ -42,8 +72,11 @@ impl<T> Node<T> {
 /// * [`RTree::bulk_load`] builds a packed tree with the STR algorithm —
 ///   O(n log n), near-minimal overlap, the right choice for the read-mostly
 ///   workloads in this repository.
-/// * [`RTree::insert`] supports incremental updates with quadratic split.
+/// * [`RTree::insert`] supports incremental updates with quadratic split;
+///   [`RTree::remove`] deletes one entry by its exact rectangle.
 /// * [`RTree::query`] returns every entry whose MBR intersects the probe.
+/// * [`RTree::best_first`] visits entries in order of a caller-supplied
+///   lower bound, for nearest-neighbour search.
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
     root: Option<Node<T>>,
@@ -79,7 +112,7 @@ impl<T> RTree<T> {
 
     /// Builds a tree from `(Rect, T)` pairs using Sort-Tile-Recursive
     /// packing.
-    pub fn bulk_load(mut items: Vec<(Rect, T)>) -> Self {
+    pub fn bulk_load(items: Vec<(Rect, T)>) -> Self {
         let len = items.len();
         if items.is_empty() {
             return RTree::new();
@@ -90,68 +123,30 @@ impl<T> RTree<T> {
         let slice_count = (leaf_count as f64).sqrt().ceil() as usize;
         let per_slice = len.div_ceil(slice_count.max(1));
 
-        items.sort_by(|a, b| {
-            a.0.center()
-                .x
-                .partial_cmp(&b.0.center().x)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        // Each center is computed once and ordered with `total_cmp`:
+        // `Rect::EMPTY` has a NaN center, which a `partial_cmp` sort
+        // cannot order consistently.
+        let mut keyed: Vec<(f64, f64, (Rect, T))> = items
+            .into_iter()
+            .map(|it| {
+                let c = it.0.center();
+                (c.x, c.y, it)
+            })
+            .collect();
+        keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for slice in keyed.chunks_mut(per_slice) {
+            slice.sort_by(|a, b| a.1.total_cmp(&b.1));
+        }
 
         let mut leaves: Vec<Node<T>> = Vec::with_capacity(leaf_count);
-        let mut items = items.into_iter().peekable();
-        while items.peek().is_some() {
-            let mut slice: Vec<(Rect, T)> = Vec::with_capacity(per_slice);
-            for _ in 0..per_slice {
-                match items.next() {
-                    Some(it) => slice.push(it),
-                    None => break,
-                }
-            }
-            slice.sort_by(|a, b| {
-                a.0.center()
-                    .y
-                    .partial_cmp(&b.0.center().y)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let mut slice = slice.into_iter().peekable();
-            while slice.peek().is_some() {
-                let mut entries = Vec::with_capacity(MAX_ENTRIES);
-                for _ in 0..MAX_ENTRIES {
-                    match slice.next() {
-                        Some(it) => entries.push(it),
-                        None => break,
-                    }
-                }
-                let mut leaf = Node::Leaf {
-                    mbr: Rect::EMPTY,
-                    entries,
-                };
-                leaf.recompute_mbr();
-                leaves.push(leaf);
-            }
+        for slice in runs(keyed.into_iter().map(|(_, _, it)| it), per_slice) {
+            leaves.extend(runs(slice, MAX_ENTRIES).map(Node::leaf));
         }
 
         // Pack upper levels until a single root remains.
         let mut level = leaves;
         while level.len() > 1 {
-            let mut next: Vec<Node<T>> = Vec::with_capacity(level.len().div_ceil(MAX_ENTRIES));
-            let mut level_iter = level.into_iter().peekable();
-            while level_iter.peek().is_some() {
-                let mut children = Vec::with_capacity(MAX_ENTRIES);
-                for _ in 0..MAX_ENTRIES {
-                    match level_iter.next() {
-                        Some(n) => children.push(n),
-                        None => break,
-                    }
-                }
-                let mut inner = Node::Inner {
-                    mbr: Rect::EMPTY,
-                    children,
-                };
-                inner.recompute_mbr();
-                next.push(inner);
-            }
-            level = next;
+            level = runs(level, MAX_ENTRIES).map(Node::inner).collect();
         }
 
         RTree {
@@ -164,24 +159,47 @@ impl<T> RTree<T> {
     pub fn insert(&mut self, rect: Rect, value: T) {
         self.len += 1;
         match self.root.take() {
-            None => {
-                self.root = Some(Node::Leaf {
-                    mbr: rect,
-                    entries: vec![(rect, value)],
+            None => self.root = Some(Node::leaf(vec![(rect, value)])),
+            Some(mut root) => {
+                self.root = Some(match insert_rec(&mut root, rect, value) {
+                    Some(sibling) => Node::inner(vec![root, sibling]),
+                    None => root,
                 });
             }
-            Some(mut root) => {
-                if let Some(sibling) = insert_rec(&mut root, rect, value) {
-                    let mbr = root.mbr().union(&sibling.mbr());
-                    self.root = Some(Node::Inner {
-                        mbr,
-                        children: vec![root, sibling],
-                    });
-                } else {
-                    self.root = Some(root);
+        }
+    }
+
+    /// Removes and returns one entry stored under exactly `rect` for
+    /// which `pred` holds (`None` when there is none).
+    ///
+    /// The walk descends only into nodes whose MBR covers `rect`. MBRs on
+    /// the path are tightened and emptied nodes are dropped, so every
+    /// leaf stays at the same depth; underfull nodes are kept as they are
+    /// (no re-insertion).
+    pub fn remove(&mut self, rect: &Rect, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
+        let value = remove_rec(self.root.as_mut()?, rect, &mut pred)?;
+        self.len -= 1;
+        // Shrink the root: drop it when empty, collapse single-child
+        // inner nodes.
+        loop {
+            match self.root.take() {
+                Some(Node::Inner { mut children, .. }) if children.len() == 1 => {
+                    self.root = children.pop();
+                }
+                Some(root) if root.is_empty() => break,
+                root => {
+                    self.root = root;
+                    break;
                 }
             }
         }
+        Some(value)
+    }
+
+    /// The value of one entry stored under exactly `rect` for which
+    /// `pred` holds, for in-place relabelling (`None` when there is none).
+    pub fn find_mut(&mut self, rect: &Rect, mut pred: impl FnMut(&T) -> bool) -> Option<&mut T> {
+        find_mut_rec(self.root.as_mut()?, rect, &mut pred)
     }
 
     /// Returns references to every entry whose MBR intersects `probe`, in
@@ -206,6 +224,58 @@ impl<T> RTree<T> {
         n
     }
 
+    /// Best-first walk ("distance browsing", Hjaltason & Samet): the
+    /// building block of nearest-neighbour search.
+    ///
+    /// `bound` maps an MBR to a lower bound on the distance of anything
+    /// inside it; it is called once for every node and entry MBR the walk
+    /// tests. Pending nodes and entries wait in one priority queue ordered
+    /// by bound ([`f64::total_cmp`]). Entries reach `visit` in
+    /// nondecreasing bound order, and `visit` returns the current prune
+    /// radius (typically the k-th best exact distance so far, or `+∞`
+    /// while fewer than k are known). The walk stops once the smallest
+    /// pending bound is *strictly greater* than that radius, so items
+    /// whose bound ties the radius are still visited (a NaN bound is
+    /// pruned).
+    pub fn best_first<'a>(
+        &'a self,
+        mut bound: impl FnMut(&Rect) -> f64,
+        mut visit: impl FnMut(&'a T) -> f64,
+    ) {
+        let Some(root) = &self.root else {
+            return;
+        };
+        let mut radius = f64::INFINITY;
+        let mut heap = BinaryHeap::new();
+        heap.push(Pending {
+            bound: bound(&root.mbr()),
+            item: Item::Node(root),
+        });
+        while let Some(Pending { bound: b, item }) = heap.pop() {
+            if pruned(b, radius) {
+                break;
+            }
+            let mut push = |b: f64, item| {
+                if !pruned(b, radius) {
+                    heap.push(Pending { bound: b, item });
+                }
+            };
+            match item {
+                Item::Node(Node::Leaf { entries, .. }) => {
+                    for (r, v) in entries {
+                        push(bound(r), Item::Entry(v));
+                    }
+                }
+                Item::Node(Node::Inner { children, .. }) => {
+                    for c in children {
+                        push(bound(&c.mbr()), Item::Node(c));
+                    }
+                }
+                Item::Entry(v) => radius = visit(v),
+            }
+        }
+    }
+
     /// Depth of the tree (0 when empty); exposed for tests and diagnostics.
     pub fn depth(&self) -> usize {
         fn d<T>(n: &Node<T>) -> usize {
@@ -215,6 +285,100 @@ impl<T> RTree<T> {
             }
         }
         self.root.as_ref().map_or(0, d)
+    }
+}
+
+/// Consecutive runs of at most `n` items, in order.
+fn runs<I: IntoIterator>(items: I, n: usize) -> impl Iterator<Item = Vec<I::Item>> {
+    let mut items = items.into_iter().peekable();
+    std::iter::from_fn(move || {
+        items.peek()?;
+        Some(items.by_ref().take(n).collect())
+    })
+}
+
+/// Whether [`RTree::best_first`] skips an item with bound `b`.
+fn pruned(b: f64, radius: f64) -> bool {
+    b > radius || b.is_nan()
+}
+
+/// A node or entry waiting in the [`RTree::best_first`] queue.
+enum Item<'a, T> {
+    Node(&'a Node<T>),
+    Entry(&'a T),
+}
+
+/// Queue slot ordered so that [`BinaryHeap`] (a max-heap) pops the
+/// smallest bound first.
+struct Pending<'a, T> {
+    bound: f64,
+    item: Item<'a, T>,
+}
+
+impl<T> PartialEq for Pending<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Pending<'_, T> {}
+
+impl<T> PartialOrd for Pending<'_, T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Pending<'_, T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.bound.total_cmp(&self.bound)
+    }
+}
+
+/// Whether a node with MBR `mbr` can hold an entry stored under `rect`.
+/// Empty rects add nothing to their ancestors' MBRs, so any node may
+/// hold one.
+fn may_hold(mbr: &Rect, rect: &Rect) -> bool {
+    rect.is_empty() || mbr.contains(rect)
+}
+
+fn remove_rec<T>(node: &mut Node<T>, rect: &Rect, pred: &mut impl FnMut(&T) -> bool) -> Option<T> {
+    let value = match node {
+        Node::Leaf { entries, .. } => {
+            let at = entries.iter().position(|(r, v)| r == rect && pred(v))?;
+            entries.remove(at).1
+        }
+        Node::Inner { children, .. } => {
+            let (at, value) = children.iter_mut().enumerate().find_map(|(i, c)| {
+                if !may_hold(&c.mbr(), rect) {
+                    return None;
+                }
+                remove_rec(c, rect, pred).map(|v| (i, v))
+            })?;
+            if children[at].is_empty() {
+                children.remove(at);
+            }
+            value
+        }
+    };
+    node.recompute_mbr();
+    Some(value)
+}
+
+fn find_mut_rec<'a, T>(
+    node: &'a mut Node<T>,
+    rect: &Rect,
+    pred: &mut impl FnMut(&T) -> bool,
+) -> Option<&'a mut T> {
+    match node {
+        Node::Leaf { entries, .. } => entries
+            .iter_mut()
+            .find(|(r, v)| r == rect && pred(v))
+            .map(|(_, v)| v),
+        Node::Inner { children, .. } => children
+            .iter_mut()
+            .filter(|c| may_hold(&c.mbr(), rect))
+            .find_map(|c| find_mut_rec(c, rect, pred)),
     }
 }
 
@@ -249,18 +413,8 @@ fn insert_rec<T>(node: &mut Node<T>, rect: Rect, value: T) -> Option<Node<T>> {
             *mbr = mbr.union(&rect);
             if entries.len() > MAX_ENTRIES {
                 let (a, b) = quadratic_split_entries(std::mem::take(entries));
-                let mut left = Node::Leaf {
-                    mbr: Rect::EMPTY,
-                    entries: a,
-                };
-                let mut right = Node::Leaf {
-                    mbr: Rect::EMPTY,
-                    entries: b,
-                };
-                left.recompute_mbr();
-                right.recompute_mbr();
-                *node = left;
-                Some(right)
+                *node = Node::leaf(a);
+                Some(Node::leaf(b))
             } else {
                 None
             }
@@ -284,24 +438,14 @@ fn insert_rec<T>(node: &mut Node<T>, rect: Rect, value: T) -> Option<Node<T>> {
                         })
                 })
                 .map(|(i, _)| i)
-                // audit: construction never produces an empty inner node.
+                // audit: construction and removal never leave an empty inner node.
                 .expect("inner node always has children");
             if let Some(sibling) = insert_rec(&mut children[idx], rect, value) {
                 children.push(sibling);
                 if children.len() > MAX_ENTRIES {
                     let (a, b) = quadratic_split_nodes(std::mem::take(children));
-                    let mut left = Node::Inner {
-                        mbr: Rect::EMPTY,
-                        children: a,
-                    };
-                    let mut right = Node::Inner {
-                        mbr: Rect::EMPTY,
-                        children: b,
-                    };
-                    left.recompute_mbr();
-                    right.recompute_mbr();
-                    *node = left;
-                    return Some(right);
+                    *node = Node::inner(a);
+                    return Some(Node::inner(b));
                 }
             }
             None
@@ -485,5 +629,100 @@ mod tests {
             .collect();
         let t = RTree::bulk_load(items);
         assert_eq!(t.count(&Rect::new(0.0, 0.0, 0.0, 0.0)), 50);
+    }
+
+    /// 400 pseudo-random small rects; every 7th is empty.
+    fn random_rects_with_empties(seed: u64) -> Vec<(Rect, usize)> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rnd = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..400)
+            .map(|i| {
+                if i % 7 == 0 {
+                    return (Rect::EMPTY, i);
+                }
+                let (x, y) = (rnd() * 100.0, rnd() * 100.0);
+                (Rect::new(x, y, x + rnd(), y + rnd()), i)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bulk_load_orders_empty_rects() {
+        // Rect::EMPTY has a NaN center; sorting it with `partial_cmp`
+        // made the sort panic ("does not correctly implement a total
+        // order") on most of these inputs.
+        for seed in 0..8 {
+            let items = random_rects_with_empties(seed);
+            let t = RTree::bulk_load(items.clone());
+            assert_eq!(t.len(), 400);
+            for probe in [
+                Rect::new(0.0, 0.0, 200.0, 200.0),
+                Rect::new(10.0, 10.0, 30.0, 20.0),
+                Rect::new(50.5, 0.0, 50.5, 100.0),
+            ] {
+                let expect = items.iter().filter(|(r, _)| r.intersects(&probe)).count();
+                assert_eq!(t.count(&probe), expect, "seed {seed}, probe {probe:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn remove_deletes_exactly_one_matching_entry() {
+        let items = random_rects_with_empties(3);
+        let mut t = RTree::bulk_load(items.clone());
+        let (r, id) = items[45];
+        assert_eq!(t.remove(&r, |&v| v == id + 1), None, "predicate must hold");
+        assert_eq!(t.remove(&r, |&v| v == id), Some(id));
+        assert_eq!(t.remove(&r, |&v| v == id), None);
+        assert_eq!(t.len(), 399);
+        assert_eq!(t.remove(&Rect::EMPTY, |&v| v == 7), Some(7));
+        assert!(!t.query(&r).contains(&&id));
+        // Draining the tree leaves it empty, not dangling.
+        for (r, id) in items {
+            if id != 45 && id != 7 {
+                assert_eq!(t.remove(&r, |&v| v == id), Some(id));
+            }
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.depth(), 0);
+        assert!(t.mbr().is_empty());
+        t.insert(Rect::new(0.0, 0.0, 1.0, 1.0), 1);
+        assert_eq!(t.count(&Rect::new(0.5, 0.5, 0.5, 0.5)), 1);
+    }
+
+    #[test]
+    fn find_mut_relabels_in_place() {
+        let mut t = RTree::bulk_load(unit_cells(6));
+        let cell = Rect::new(2.0, 3.0, 3.0, 4.0);
+        *t.find_mut(&cell, |&v| v == 20).unwrap() = 99;
+        assert!(t.find_mut(&cell, |&v| v == 20).is_none());
+        assert_eq!(t.query(&Rect::new(2.5, 3.5, 2.5, 3.5)), vec![&99]);
+    }
+
+    #[test]
+    fn best_first_visits_in_bound_order_and_stops_at_the_radius() {
+        let t = RTree::bulk_load(unit_cells(20));
+        // Distance from (0, 0) to each cell's lower-left corner.
+        let bound = |r: &Rect| (r.min_x.max(0.0).powi(2) + r.min_y.max(0.0).powi(2)).sqrt();
+        let mut seen = Vec::new();
+        t.best_first(bound, |&id| {
+            seen.push(id);
+            if seen.len() < 3 {
+                f64::INFINITY
+            } else {
+                1.0
+            }
+        });
+        // Cells (0,0), (1,0) and (0,1) have bound <= 1; the cell at
+        // (1,1) (bound sqrt 2) is pruned.
+        let mut got = seen.clone();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 20]);
+        assert_eq!(seen[0], 0);
     }
 }

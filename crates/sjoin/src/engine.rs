@@ -37,6 +37,25 @@
 //!    where applicable, inserted into the cache, and returned aligned
 //!    with the input slice.
 //!
+//! ## The resident index
+//!
+//! Each rank keeps one R-tree over the envelopes of its resident
+//! replicas, in lockstep with the replicas, their envelopes and their
+//! reference-cell flags. Range and point queries are a window query on
+//! the tree followed by the exact predicate. kNN queries walk the tree
+//! best first ([`RTree::best_first`]): nodes and replicas wait in one
+//! priority queue keyed by the point-to-MBR distance, the exact
+//! distance is computed only for reference replicas whose bound does
+//! not exceed the current k-th best, and the walk stops once every
+//! pending bound is greater — bit-identical to scanning every replica.
+//!
+//! The tree is bulk loaded at construction and after a migration, and
+//! otherwise kept current one replica at a time:
+//! [`rebalance::apply_updates`] hands every received insert and delete
+//! to the index through [`ReplicaStore`], so an update batch costs one
+//! R-tree insert or removal per replica rather than a reindex of the
+//! whole partition.
+//!
 //! Duplicate-free semantics follow `range_query`'s reference-corner rule
 //! ([`mvio_core::framework::claims_reference`]): a feature replicated
 //! into several cells is claimed by exactly one owner, so an answer
@@ -109,20 +128,21 @@ use mvio_core::decomp::{
 };
 use mvio_core::exchange::{
     record_frames, serialize_record, ExchangeChunk, ExchangeOptions, ExchangePlan, ExchangeStats,
-    RecordFrame, SerializedBatch, ZeroCopy,
+    SerializedBatch, ZeroCopy,
 };
 use mvio_core::grid::UniformGrid;
 use mvio_core::pipeline::IngestOutput;
 use mvio_core::rebalance::{
-    self, RebalancePolicy, RebalanceReport, Rebalancer, Update, UpdateStats,
+    self, RebalancePolicy, RebalanceReport, Rebalancer, ReplicaStore, Update, UpdateStats,
 };
 use mvio_core::snapshot::{self, SnapshotReadOptions};
 use mvio_core::{CoreError, Feature, Result};
 use mvio_geom::index::RTree;
-use mvio_geom::{algo, Geometry, LineString, Point, Rect};
+use mvio_geom::wkb::{self, GeomRef};
+use mvio_geom::{algo, Geometry, GeometryType, LineString, Point, Rect};
 use mvio_msim::{Comm, Work};
 use mvio_pfs::SimFs;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Environment knob selecting the result-cache capacity: unset, `0` or
@@ -451,48 +471,85 @@ impl ResultCache {
     }
 }
 
-/// The per-rank resident state: owned replicas, their envelopes, the
-/// R-tree over them, and the global decomposition. Split out from
-/// [`QueryEngine`] so `serve` can walk it from inside exchange sinks
-/// while the cache (a sibling field) stays independently borrowable.
+/// The per-rank resident replicas and everything derived from them,
+/// kept in lockstep: `owned[i]` has envelope `envelopes[i]`, reference
+/// flag `reference[i]` and the R-tree entry `(envelopes[i], i)`.
+///
+/// A bulk STR load builds it at construction and after a migration.
+/// Streaming updates arrive one replica at a time through
+/// [`ReplicaStore`]: an insert appends to the vectors and inserts into
+/// the tree; a delete finds its replica by probing the tree with its
+/// envelope, `swap_remove`s it from the vectors and relabels the tree
+/// entry of the replica that moved into its slot. Nothing is rebuilt per
+/// update batch.
+///
+/// Split out from [`QueryEngine`] so `serve` can walk it from inside
+/// exchange sinks while the cache (a sibling field) stays independently
+/// borrowable.
 struct ResidentIndex {
-    sd: Box<dyn SpatialDecomposition>,
     owned: Vec<(u32, Feature)>,
     envelopes: Vec<Rect>,
-    rtree: RTree<usize>,
     /// Whether `owned[i]` is the replica in its feature's reference cell
-    /// — the one copy that represents the feature in kNN scans.
+    /// — the one copy that represents the feature in kNN answers.
     reference: Vec<bool>,
-    /// One representative cell per rank (`None` for ranks owning no
-    /// cells), used to route kNN queries to every data-holding rank.
-    rank_cells: Vec<Option<u32>>,
+    rtree: RTree<usize>,
+}
+
+/// Lower bound on the distance from `at` to anything inside `r`, for the
+/// kNN walk: the point-to-rectangle distance less `slack`, and `+∞` for
+/// an empty rectangle (which holds nothing).
+fn knn_bound(at: &Point, r: &Rect, slack: f64) -> f64 {
+    if r.is_empty() {
+        return f64::INFINITY;
+    }
+    let dx = (r.min_x - at.x).max(at.x - r.max_x).max(0.0);
+    let dy = (r.min_y - at.y).max(at.y - r.max_y).max(0.0);
+    (dx.hypot(dy) - slack).max(0.0)
+}
+
+/// Relative size of the kNN bound's slack: 2⁻⁴⁰ of the largest
+/// coordinate magnitude in play. The exact distance kernels round at a
+/// few ulps of that magnitude (about 2⁻⁵⁰ of it), so the slack keeps
+/// every bound below the exact distance the full scan would compute.
+const KNN_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// A kNN candidate ordered by `(distance, userdata)`, the answer order.
+#[derive(PartialEq)]
+struct Candidate<'a>(f64, &'a str);
+
+impl Eq for Candidate<'_> {}
+
+impl PartialOrd for Candidate<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Candidate<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0).then_with(|| self.1.cmp(other.1))
+    }
 }
 
 impl ResidentIndex {
     /// Indexes an owned replica set under its decomposition (charged as
     /// [`Work::RtreeInserts`]). Local — the communicator only charges.
-    fn build(
-        comm: &mut Comm,
-        sd: Box<dyn SpatialDecomposition>,
-        owned: Vec<(u32, Feature)>,
-    ) -> Self {
+    fn build(comm: &mut Comm, sd: &dyn SpatialDecomposition, owned: Vec<(u32, Feature)>) -> Self {
         let mut index = ResidentIndex {
-            sd,
             owned,
             envelopes: Vec::new(),
-            rtree: RTree::bulk_load(Vec::new()),
             reference: Vec::new(),
-            rank_cells: Vec::new(),
+            rtree: RTree::new(),
         };
-        index.reindex(comm);
+        index.reindex(comm, sd);
         index
     }
 
-    /// Recomputes every derived structure — envelopes, R-tree,
-    /// reference-replica flags, per-rank routing cells — from the
-    /// current `sd` + `owned`. Called at construction and again after
-    /// updates or a migration mutate the replica set.
-    fn reindex(&mut self, comm: &mut Comm) {
+    /// Recomputes envelopes, reference flags and the R-tree (one STR
+    /// bulk load) from `owned`. Called at construction and after a
+    /// migration rewrites the replica set; updates maintain all three
+    /// incrementally instead.
+    fn reindex(&mut self, comm: &mut Comm, sd: &dyn SpatialDecomposition) {
         self.envelopes = self
             .owned
             .iter()
@@ -512,27 +569,20 @@ impl ResidentIndex {
             .owned
             .iter()
             .zip(&self.envelopes)
-            .map(|((cell, _), mbr)| match self.sd.reference_cell(mbr) {
-                Some(c) => c == *cell,
-                // Degenerate (out-of-bounds reference corner): claim in
-                // the lowest overlapping cell — deterministic everywhere.
-                None => self.sd.cells_for_rect_vec(mbr).first() == Some(cell),
-            })
+            .map(|((cell, _), mbr)| rebalance::is_reference(sd, *cell, mbr))
             .collect();
-        self.rank_cells = vec![None; self.sd.num_ranks()];
-        for cell in 0..self.sd.num_cells() {
-            let r = self.sd.cell_to_rank(cell);
-            if self.rank_cells[r].is_none() {
-                self.rank_cells[r] = Some(cell);
-            }
-        }
     }
 
     /// Filter + refine for one rectangle over the local replicas,
     /// returning the claimed matches' userdata **sorted**. Identical
     /// claiming rule to `range_query`: cell overlap, MBR overlap,
     /// reference-corner dedup, exact predicate.
-    fn rect_matches(&self, comm: &mut Comm, query: &Rect) -> Vec<String> {
+    fn rect_matches(
+        &self,
+        comm: &mut Comm,
+        sd: &dyn SpatialDecomposition,
+        query: &Rect,
+    ) -> Vec<String> {
         let mut hits: Vec<usize> = Vec::new();
         self.rtree.query_with(query, &mut |i| hits.push(*i));
         comm.charge(Work::RtreeQueries {
@@ -542,12 +592,12 @@ impl ResidentIndex {
         let mut out = Vec::new();
         for i in hits {
             let (cell, f) = &self.owned[i];
-            if !self.sd.cell_rect(*cell).intersects(query) {
+            if !sd.cell_rect(*cell).intersects(query) {
                 continue;
             }
             let mbr = &self.envelopes[i];
             comm.charge(Work::MbrTests { n: 1 });
-            if !mvio_core::framework::claims_reference(&*self.sd, *cell, mbr, query) {
+            if !mvio_core::framework::claims_reference(sd, *cell, mbr, query) {
                 continue;
             }
             comm.charge(Work::RefinePair {
@@ -564,128 +614,175 @@ impl ResidentIndex {
 
     /// Local top-`k` by `(distance, userdata)` over the reference
     /// replicas (each feature counted exactly once globally).
+    ///
+    /// A best-first walk of the R-tree ([`RTree::best_first`]) with the
+    /// point-to-MBR distance as the bound: the exact distance is computed
+    /// only for reference replicas whose bound does not exceed the
+    /// current k-th best, so ties at the k-th distance are still
+    /// evaluated. The bound is lowered by a slack scaled to the
+    /// coordinates ([`KNN_SLACK`]) so rounding in the exact kernels can
+    /// never prune a candidate a full scan would keep — answers are
+    /// bit-identical to scanning every reference replica. Charged for
+    /// what the walk does: [`Work::MbrTests`] per box tested and one
+    /// [`Work::RefinePair`] over the vertices of the candidates
+    /// evaluated.
     fn knn_local(&self, comm: &mut Comm, at: &Point, k: usize) -> Vec<(f64, String)> {
-        let mut verts = 0u64;
-        let mut cands = 0u64;
-        let mut best: Vec<(f64, &str)> = Vec::new();
-        for (i, (_, f)) in self.owned.iter().enumerate() {
-            if !self.reference[i] {
-                continue;
-            }
-            cands += 1;
-            verts += f.geometry.num_points() as u64;
-            best.push((
-                algo::point_geometry_distance(at, &f.geometry),
-                f.userdata.as_str(),
-            ));
-        }
-        comm.charge(Work::MbrTests { n: cands });
+        let m = self.rtree.mbr();
+        let scale = [at.x, at.y, m.min_x, m.min_y, m.max_x, m.max_y]
+            .iter()
+            .filter(|v| v.is_finite())
+            .fold(0.0f64, |a, v| a.max(v.abs()));
+        let slack = scale * KNN_SLACK;
+        let (mut tests, mut verts) = (0u64, 0u64);
+        let mut best: BinaryHeap<Candidate<'_>> = BinaryHeap::new();
+        self.rtree.best_first(
+            |r| {
+                tests += 1;
+                knn_bound(at, r, slack)
+            },
+            |&i| {
+                if self.reference[i] {
+                    let f = &self.owned[i].1;
+                    verts += f.geometry.num_points() as u64;
+                    let c = Candidate(
+                        algo::point_geometry_distance(at, &f.geometry),
+                        f.userdata.as_str(),
+                    );
+                    if best.len() < k {
+                        best.push(c);
+                    } else if best.peek().is_some_and(|worst| c < *worst) {
+                        best.pop();
+                        best.push(c);
+                    }
+                }
+                match best.peek() {
+                    Some(worst) if best.len() >= k => worst.0,
+                    _ => f64::INFINITY,
+                }
+            },
+        );
+        comm.charge(Work::MbrTests { n: tests });
         comm.charge(Work::RefinePair {
             verts_a: verts,
             verts_b: 1,
         });
-        best.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then_with(|| x.1.cmp(y.1)));
-        best.truncate(k);
-        best.into_iter()
-            .map(|(d, ud)| (d, ud.to_string()))
+        best.into_sorted_vec()
+            .into_iter()
+            .map(|Candidate(d, ud)| (d, ud.to_string()))
             .collect()
     }
 
     /// Answers one query record received off the wire, serializing each
-    /// result as a record tagged with the issuer's query index. kNN
-    /// queries ride as a `Point` with `k=<n>` userdata; range and point
-    /// queries as the diagonal of their rect (whose envelope recovers it
-    /// exactly). Result records carry the distance in the point's `x`.
+    /// result as a record tagged with the issuer's query index, and
+    /// returns the number of result records. Result records carry the
+    /// distance in the point's `x` (`0` for range and point matches).
+    /// Both read paths decode into a [`WireQuery`] and land here, so
+    /// answers, result records and protocol errors are bit-identical
+    /// between them.
     fn serve_one(
         &self,
         comm: &mut Comm,
-        qid: u32,
-        qf: &Feature,
+        sd: &dyn SpatialDecomposition,
+        query: &WireQuery<'_>,
         scratch: &mut Vec<u8>,
         out: &mut Vec<u8>,
-        produced: &mut u64,
-    ) -> Result<()> {
-        if let Some(kstr) = qf.userdata.strip_prefix("k=") {
-            let k: usize = kstr.parse().map_err(|_| {
-                CoreError::Partition(format!(
-                    "serve protocol: malformed knn payload {:?}",
-                    qf.userdata
-                ))
-            })?;
-            let at = match &qf.geometry {
-                Geometry::Point(p) => *p,
-                g => {
-                    return Err(CoreError::Partition(format!(
+    ) -> Result<u64> {
+        let results = match query.userdata.strip_prefix("k=") {
+            Some(kstr) => {
+                let k: usize = kstr.parse().map_err(|_| {
+                    CoreError::Partition(format!(
+                        "serve protocol: malformed knn payload {:?}",
+                        query.userdata
+                    ))
+                })?;
+                let at = query.point.ok_or_else(|| {
+                    CoreError::Partition(format!(
                         "serve protocol: knn query carries a {:?} geometry",
-                        g.geometry_type()
-                    )))
-                }
-            };
-            for (distance, userdata) in self.knn_local(comm, &at, k) {
-                let rec =
-                    Feature::with_userdata(Geometry::Point(Point::new(distance, 0.0)), userdata);
-                serialize_record(qid, &rec, scratch, out)?;
-                *produced += 1;
+                        query.kind
+                    ))
+                })?;
+                self.knn_local(comm, &at, k)
             }
-        } else {
-            let rect = qf.geometry.envelope();
-            for userdata in self.rect_matches(comm, &rect) {
-                let rec = Feature::with_userdata(Geometry::Point(Point::new(0.0, 0.0)), userdata);
-                serialize_record(qid, &rec, scratch, out)?;
-                *produced += 1;
-            }
+            None => self
+                .rect_matches(comm, sd, &query.envelope)
+                .into_iter()
+                .map(|userdata| (0.0, userdata))
+                .collect(),
+        };
+        let produced = results.len() as u64;
+        for (distance, userdata) in results {
+            let rec = Feature::with_userdata(Geometry::Point(Point::new(distance, 0.0)), userdata);
+            serialize_record(query.qid, &rec, scratch, out)?;
         }
-        Ok(())
+        Ok(produced)
+    }
+}
+
+/// One query record as received: kNN queries ride as a `Point` with
+/// `k=<n>` userdata; range and point queries as the diagonal of their
+/// rect (whose envelope recovers it exactly, see [`wire_rect`]).
+struct WireQuery<'a> {
+    /// The issuing rank's query index.
+    qid: u32,
+    userdata: &'a str,
+    kind: GeometryType,
+    /// The geometry when it is a point.
+    point: Option<Point>,
+    envelope: Rect,
+}
+
+impl ReplicaStore for ResidentIndex {
+    fn insert_replica(
+        &mut self,
+        comm: &mut Comm,
+        cell: u32,
+        feature: Feature,
+        envelope: Rect,
+        reference: bool,
+    ) {
+        comm.charge(Work::RtreeInserts { n: 1 });
+        self.rtree.insert(envelope, self.owned.len());
+        self.owned.push((cell, feature));
+        self.envelopes.push(envelope);
+        self.reference.push(reference);
     }
 
-    /// The zero-copy twin of [`ResidentIndex::serve_one`]: answers one
-    /// query frame straight off the received wire buffer — the query
-    /// geometry is decoded as a borrowed view, never materialized.
-    /// Answers, result records and protocol errors are bit-identical to
-    /// the owned variant.
-    fn serve_one_frame(
-        &self,
+    fn remove_replica(
+        &mut self,
         comm: &mut Comm,
-        fr: &RecordFrame<'_>,
-        scratch: &mut Vec<u8>,
-        out: &mut Vec<u8>,
-        produced: &mut u64,
-    ) -> Result<()> {
-        let qid = fr.cell;
-        // audit: the exchange validated every frame before the sink ran.
-        let (g, _) = mvio_geom::wkb::decode_ref(fr.wkb).expect("validated frame");
-        if let Some(kstr) = fr.userdata.strip_prefix("k=") {
-            let k: usize = kstr.parse().map_err(|_| {
-                CoreError::Partition(format!(
-                    "serve protocol: malformed knn payload {:?}",
-                    fr.userdata
-                ))
-            })?;
-            let at = match &g {
-                mvio_geom::wkb::GeomRef::Point(p) => p.point(),
-                g => {
-                    return Err(CoreError::Partition(format!(
-                        "serve protocol: knn query carries a {:?} geometry",
-                        g.geometry_type()
-                    )))
-                }
-            };
-            for (distance, userdata) in self.knn_local(comm, &at, k) {
-                let rec =
-                    Feature::with_userdata(Geometry::Point(Point::new(distance, 0.0)), userdata);
-                serialize_record(qid, &rec, scratch, out)?;
-                *produced += 1;
-            }
-        } else {
-            let rect = g.envelope();
-            for userdata in self.rect_matches(comm, &rect) {
-                let rec = Feature::with_userdata(Geometry::Point(Point::new(0.0, 0.0)), userdata);
-                serialize_record(qid, &rec, scratch, out)?;
-                *produced += 1;
+        cell: u32,
+        feature: &Feature,
+        envelope: &Rect,
+    ) -> bool {
+        comm.charge(Work::RtreeQueries { n: 1, results: 1 });
+        let owned = &self.owned;
+        let Some(at) = self
+            .rtree
+            .remove(envelope, |&i| owned[i].0 == cell && owned[i].1 == *feature)
+        else {
+            return false;
+        };
+        let last = self.owned.len() - 1;
+        if at != last {
+            // The last replica moves into slot `at`: relabel its entry.
+            if let Some(slot) = self.rtree.find_mut(&self.envelopes[last], |&i| i == last) {
+                *slot = at;
             }
         }
-        Ok(())
+        self.owned.swap_remove(at);
+        self.envelopes.swap_remove(at);
+        self.reference.swap_remove(at);
+        true
     }
+}
+
+/// One representative cell per rank (`None` for ranks owning no cells).
+fn rank_cells(sd: &dyn SpatialDecomposition) -> Vec<Option<u32>> {
+    let mut cells = vec![None; sd.num_ranks()];
+    for cell in 0..sd.num_cells() {
+        cells[sd.cell_to_rank(cell)].get_or_insert(cell);
+    }
+    cells
 }
 
 /// Encodes a query rect as the 2-point diagonal linestring whose
@@ -708,7 +805,11 @@ fn wire_rect(r: &Rect) -> Feature {
 /// [`QueryEngine::serve`] together, each with its own — possibly empty,
 /// possibly different-sized — query batch.
 pub struct QueryEngine {
+    sd: Box<dyn SpatialDecomposition>,
     index: ResidentIndex,
+    /// One representative cell per rank (`None` for ranks owning no
+    /// cells), used to route kNN queries to every data-holding rank.
+    rank_cells: Vec<Option<u32>>,
     chunk: ExchangeChunk,
     cache: Option<ResultCache>,
     /// [`EngineOptions::zerocopy`] resolved once at construction, so a
@@ -737,9 +838,11 @@ impl QueryEngine {
         owned: Vec<(u32, Feature)>,
         opts: &EngineOptions,
     ) -> Self {
-        let index = ResidentIndex::build(comm, sd, owned);
-        let rebalancer = Rebalancer::from_policy(opts.rebalance, &*index.sd, &index.owned);
+        let index = ResidentIndex::build(comm, &*sd, owned);
+        let rebalancer = Rebalancer::from_policy(opts.rebalance, &*sd, &index.owned);
         QueryEngine {
+            rank_cells: rank_cells(&*sd),
+            sd,
             index,
             chunk: opts.chunk,
             cache: opts.cache.resolve().map(ResultCache::new),
@@ -783,7 +886,7 @@ impl QueryEngine {
     /// The resident decomposition (e.g. for generating in-bounds query
     /// workloads against `bounds()`).
     pub fn decomposition(&self) -> &dyn SpatialDecomposition {
-        &*self.index.sd
+        &*self.sd
     }
 
     /// Number of feature replicas resident on this rank.
@@ -808,7 +911,7 @@ impl QueryEngine {
     /// communicator only charges the tree walk.
     pub fn local_range_matches(&self, comm: &mut Comm, query: &Rect) -> Result<Vec<String>> {
         validate_query(&Query::Range(*query))?;
-        Ok(self.index.rect_matches(comm, query))
+        Ok(self.index.rect_matches(comm, &*self.sd, query))
     }
 
     /// The configured rebalance threshold (`None` = rebalancing off).
@@ -817,10 +920,13 @@ impl QueryEngine {
     }
 
     /// Applies a batch of streaming [`Update`]s to the resident
-    /// partition, reindexes the local replicas, and drops the result
-    /// cache (cached answers may name deleted features or miss inserted
-    /// ones; see [`rebalance::apply_updates`] for the routing protocol
-    /// and the drift-histogram bookkeeping).
+    /// partition and drops the result cache (cached answers may name
+    /// deleted features or miss inserted ones). [`rebalance::apply_updates`]
+    /// routes the batch and hands every received insert and delete to the
+    /// resident index, which updates its envelopes, reference flags and
+    /// R-tree in place — no reindex per batch (see
+    /// [`rebalance::apply_updates`] for the routing protocol and the
+    /// drift-histogram bookkeeping).
     /// Collective — every rank must call it together, each with its own
     /// (possibly empty) batch. Invalid updates anywhere in the world
     /// reject the whole call symmetrically with
@@ -829,17 +935,17 @@ impl QueryEngine {
     pub fn apply_updates(&mut self, comm: &mut Comm, updates: &[Update]) -> Result<UpdateStats> {
         let result = rebalance::apply_updates(
             comm,
-            &*self.index.sd,
-            &mut self.index.owned,
+            &*self.sd,
+            &mut self.index,
             updates,
             self.chunk,
             self.rebalancer.as_mut().map(Rebalancer::tracker_mut),
         );
-        // Reindex and invalidate even on the deferred-error path: the
-        // exchange applies whatever arrived before winding down, and a
-        // remote rank's updates can stale this rank's cached answers
-        // without shipping this rank a single record.
-        self.index.reindex(comm);
+        // Invalidate even on the deferred-error path: the exchange
+        // applies whatever arrived before winding down (the index stays
+        // consistent replica by replica), and a remote rank's updates
+        // can stale this rank's cached answers without shipping this
+        // rank a single record.
         if let Some(cache) = self.cache.as_mut() {
             cache.clear();
         }
@@ -860,10 +966,10 @@ impl QueryEngine {
         let Some(reb) = self.rebalancer.as_mut() else {
             return Ok(RebalanceReport::default());
         };
-        let report =
-            reb.maybe_rebalance(comm, &mut self.index.sd, &mut self.index.owned, self.chunk)?;
+        let report = reb.maybe_rebalance(comm, &mut self.sd, &mut self.index.owned, self.chunk)?;
         if report.rebalanced {
-            self.index.reindex(comm);
+            self.index.reindex(comm, &*self.sd);
+            self.rank_cells = rank_cells(&*self.sd);
         }
         Ok(report)
     }
@@ -929,19 +1035,18 @@ impl QueryEngine {
             dests.clear();
             let feat = match q {
                 Query::Range(r) => {
-                    self.index.sd.cells_for_rect(r, &mut cells);
-                    dests.extend(cells.iter().map(|&c| self.index.sd.cell_to_rank(c)));
+                    self.sd.cells_for_rect(r, &mut cells);
+                    dests.extend(cells.iter().map(|&c| self.sd.cell_to_rank(c)));
                     wire_rect(r)
                 }
                 Query::Point(pt) => {
-                    self.index.sd.cells_for_rect(&pt.envelope(), &mut cells);
-                    dests.extend(cells.iter().map(|&c| self.index.sd.cell_to_rank(c)));
+                    self.sd.cells_for_rect(&pt.envelope(), &mut cells);
+                    dests.extend(cells.iter().map(|&c| self.sd.cell_to_rank(c)));
                     wire_rect(&pt.envelope())
                 }
                 Query::Knn { at, k } => {
                     dests.extend(
-                        self.index
-                            .rank_cells
+                        self.rank_cells
                             .iter()
                             .enumerate()
                             .filter_map(|(r, c)| c.map(|_| r)),
@@ -971,6 +1076,7 @@ impl QueryEngine {
         let mut rbatch = SerializedBatch::empty(p);
         let mut rscratch = Vec::new();
         let index = &self.index;
+        let sd = &*self.sd;
         let zerocopy = self.zerocopy;
         let mut deferred: Option<CoreError> = None;
         match comm.labeled("serve.queries", |c| {
@@ -980,12 +1086,24 @@ impl QueryEngine {
                         let before = rbatch.bufs[src].len() as u64;
                         let mut produced = 0u64;
                         for fr in record_frames(buf) {
-                            index.serve_one_frame(
+                            // audit: the exchange validated every frame before the sink ran.
+                            let (g, _) = wkb::decode_ref(fr.wkb).expect("validated frame");
+                            let query = WireQuery {
+                                qid: fr.cell,
+                                userdata: fr.userdata,
+                                kind: g.geometry_type(),
+                                point: match &g {
+                                    GeomRef::Point(p) => Some(p.point()),
+                                    _ => None,
+                                },
+                                envelope: g.envelope(),
+                            };
+                            produced += index.serve_one(
                                 comm,
-                                &fr,
+                                sd,
+                                &query,
                                 &mut rscratch,
                                 &mut rbatch.bufs[src],
-                                &mut produced,
                             )?;
                         }
                         rbatch.records[src] += produced;
@@ -1002,13 +1120,22 @@ impl QueryEngine {
                         let before = rbatch.bufs[src].len() as u64;
                         let mut produced = 0u64;
                         for (qid, qf) in records {
-                            index.serve_one(
-                                comm,
+                            let query = WireQuery {
                                 qid,
-                                &qf,
+                                userdata: &qf.userdata,
+                                kind: qf.geometry.geometry_type(),
+                                point: match &qf.geometry {
+                                    Geometry::Point(p) => Some(*p),
+                                    _ => None,
+                                },
+                                envelope: qf.geometry.envelope(),
+                            };
+                            produced += index.serve_one(
+                                comm,
+                                sd,
+                                &query,
                                 &mut rscratch,
                                 &mut rbatch.bufs[src],
-                                &mut produced,
                             )?;
                         }
                         rbatch.records[src] += produced;
@@ -1042,10 +1169,9 @@ impl QueryEngine {
                                     "serve protocol: result for unknown query index {qid}"
                                 ))
                             })?;
-                            let (g, _) =
-                                mvio_geom::wkb::decode_ref(fr.wkb).expect("validated frame"); // audit: the exchange validated every frame.
+                            let (g, _) = wkb::decode_ref(fr.wkb).expect("validated frame"); // audit: the exchange validated every frame.
                             let distance = match &g {
-                                mvio_geom::wkb::GeomRef::Point(pt) => pt.x(),
+                                GeomRef::Point(pt) => pt.x(),
                                 _ => 0.0,
                             };
                             slot.push((distance, fr.userdata.to_string()));
@@ -1127,6 +1253,7 @@ mod tests {
     use mvio_core::grid::{CellMap, GridSpec};
     use mvio_core::partition::{read_features, ReadOptions};
     use mvio_core::reader::WktLineParser;
+    use mvio_geom::Polygon;
     use mvio_msim::{Topology, World, WorldConfig};
     use mvio_pfs::FsConfig;
 
@@ -1291,7 +1418,7 @@ mod tests {
                 &fs,
                 "pts.snap",
                 &owned,
-                &*eng.index.sd,
+                &*eng.sd,
                 &Default::default(),
             )
             .unwrap();
@@ -1324,7 +1451,7 @@ mod tests {
                 &fs,
                 "pts.snap",
                 &owned,
-                &*eng.index.sd,
+                &*eng.sd,
                 &Default::default(),
             )
             .unwrap();
@@ -1474,5 +1601,226 @@ mod tests {
             k: 1
         })
         .is_ok());
+    }
+
+    /// Every rank's share of `features` under `sd`, as an ingest would
+    /// have placed it.
+    fn owned_share(
+        sd: &dyn SpatialDecomposition,
+        features: &[Feature],
+        rank: usize,
+    ) -> Vec<(u32, Feature)> {
+        features
+            .iter()
+            .flat_map(|f| {
+                sd.cells_for_rect_vec(&f.geometry.envelope())
+                    .into_iter()
+                    .filter(|&c| sd.cell_to_rank(c) == rank)
+                    .map(move |c| (c, f.clone()))
+            })
+            .collect()
+    }
+
+    fn square(x: f64, y: f64, side: f64) -> Vec<Point> {
+        vec![
+            Point::new(x, y),
+            Point::new(x + side, y),
+            Point::new(x + side, y + side),
+            Point::new(x, y + side),
+            Point::new(x, y),
+        ]
+    }
+
+    /// ~3,000 deterministic features over [0, 100]²: square polygons with
+    /// square holes, zig-zag lines, and lattice points (whose equal
+    /// distances make ties at the k-th neighbour). Many straddle cell
+    /// borders, so replicas and the reference-cell dedup are exercised.
+    fn mixed_features() -> (Vec<Feature>, Vec<Point>) {
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut rnd = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut features = Vec::new();
+        let mut hole_centres = Vec::new();
+        for i in 0..900 {
+            let side = 1.0 + rnd() * 6.0;
+            let (x, y) = (rnd() * (100.0 - side), rnd() * (100.0 - side));
+            let hole = square(x + side * 0.25, y + side * 0.25, side * 0.5);
+            let poly = Polygon::from_coords(square(x, y, side), vec![hole]).unwrap();
+            features.push(Feature::with_userdata(
+                Geometry::Polygon(poly),
+                format!("poly{i}"),
+            ));
+            hole_centres.push(Point::new(x + side * 0.5, y + side * 0.5));
+        }
+        for i in 0..900 {
+            let (x, y) = (rnd() * 95.0, rnd() * 95.0);
+            let pts: Vec<Point> = (0..2 + i % 6)
+                .map(|j| Point::new(x + j as f64 * 0.8, y + (j % 2) as f64 * (0.5 + rnd())))
+                .collect();
+            features.push(Feature::with_userdata(
+                Geometry::LineString(LineString::new(pts).unwrap()),
+                format!("line{i}"),
+            ));
+        }
+        for i in 0..1200 {
+            let (x, y) = ((i % 40) as f64 * 2.5, (i / 40) as f64 * 2.5 + 10.0);
+            features.push(Feature::with_userdata(
+                Geometry::Point(Point::new(x, y)),
+                format!("pt{i}"),
+            ));
+        }
+        (features, hole_centres)
+    }
+
+    #[test]
+    fn knn_walk_matches_a_full_scan_bit_for_bit_on_mixed_features() {
+        let (features, hole_centres) = mixed_features();
+        let mut queries: Vec<Query> = Vec::new();
+        // Inside a polygon's MBR but in its hole: the MBR bound is 0, the
+        // exact distance is not.
+        for (i, at) in hole_centres.iter().step_by(45).enumerate() {
+            queries.push(Query::Knn {
+                at: *at,
+                k: [1, 8, 40][i % 3],
+            });
+        }
+        // On the point lattice (ties at every ring), near the lines, and
+        // outside the data bounds.
+        for (i, (x, y)) in [
+            (25.0, 30.0),
+            (26.25, 31.25),
+            (50.0, 50.0),
+            (3.3, 97.1),
+            (-20.0, 40.0),
+            (130.0, -15.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            queries.push(Query::Knn {
+                at: Point::new(x, y),
+                k: [1, 4, 8, 33][i % 4],
+            });
+        }
+        // k beyond the dataset returns every feature.
+        queries.push(Query::Knn {
+            at: Point::new(60.0, 20.0),
+            k: 5000,
+        });
+        let expect: Vec<Vec<(u64, String)>> = queries
+            .iter()
+            .map(|q| {
+                let Query::Knn { at, k } = q else {
+                    unreachable!()
+                };
+                let mut all: Vec<(f64, String)> = features
+                    .iter()
+                    .map(|f| {
+                        (
+                            algo::point_geometry_distance(at, &f.geometry),
+                            f.userdata.clone(),
+                        )
+                    })
+                    .collect();
+                all.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                all.truncate(*k as usize);
+                all.into_iter().map(|(d, u)| (d.to_bits(), u)).collect()
+            })
+            .collect();
+        let shared = Arc::new((features, queries));
+        let out = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
+            let (features, queries) = &*shared;
+            let grid = UniformGrid::new(Rect::new(0.0, 0.0, 100.0, 100.0), GridSpec::square(8));
+            let sd: Box<dyn SpatialDecomposition> = Box::new(UniformDecomposition::new(
+                grid,
+                CellMap::RoundRobin,
+                comm.size(),
+            ));
+            let owned = owned_share(&*sd, features, comm.rank());
+            let mut eng = QueryEngine::from_parts(comm, sd, owned, &EngineOptions::one_shot());
+            assert!(eng.index.rtree.depth() >= 3, "a realistic tree depth");
+            eng.serve(comm, queries).unwrap().answers
+        });
+        for answers in &out {
+            assert_eq!(answers.len(), expect.len());
+            for (qi, (got, want)) in answers.iter().zip(&expect).enumerate() {
+                let QueryAnswer::Neighbors(nb) = got else {
+                    panic!("knn answer expected")
+                };
+                let got: Vec<(u64, String)> = nb
+                    .iter()
+                    .map(|n| (n.distance.to_bits(), n.userdata.clone()))
+                    .collect();
+                assert_eq!(&got, want, "query {qi}");
+            }
+        }
+        assert_eq!(out[0].last().unwrap().len(), 3000);
+    }
+
+    #[test]
+    fn incremental_updates_match_a_from_scratch_reindex() {
+        let fs = lattice_fs(12);
+        let out = World::run(WorldConfig::new(Topology::single_node(3)), move |comm| {
+            let mut eng = build_engine(comm, &fs, &EngineOptions::default());
+            let mut deleted = 0;
+            for step in 0..6u32 {
+                // Each rank inserts a few points (some straddling cell
+                // borders, some duplicates) and deletes lattice points and
+                // earlier inserts; the world is 0..11 on both axes.
+                let r = comm.rank() as u32;
+                let mut updates = Vec::new();
+                for j in 0..5u32 {
+                    let v = ((step * 7 + j * 3 + r * 5) % 44) as f64 * 0.25;
+                    let at = Point::new(v, 11.0 - v);
+                    let ud = format!("s{step}r{r}j{}", j % 4);
+                    updates.push(Update::Insert(Feature::with_userdata(
+                        Geometry::Point(at),
+                        ud,
+                    )));
+                }
+                let line = LineString::new(vec![
+                    Point::new(0.5 + step as f64, 0.5),
+                    Point::new(6.5, 2.5 + r as f64),
+                ])
+                .unwrap();
+                updates.push(Update::Insert(Feature::with_userdata(
+                    Geometry::LineString(line),
+                    format!("l{step}r{r}"),
+                )));
+                let (x, y) = ((step + r) % 12, (step * 5 + r) % 12);
+                updates.push(Update::Delete(Feature::with_userdata(
+                    Geometry::Point(Point::new(x as f64, y as f64)),
+                    format!("p{x}_{y}"),
+                )));
+                if step > 0 {
+                    let v = (((step - 1) * 7 + r * 5) % 44) as f64 * 0.25;
+                    updates.push(Update::Delete(Feature::with_userdata(
+                        Geometry::Point(Point::new(v, 11.0 - v)),
+                        format!("s{}r{r}j0", step - 1),
+                    )));
+                }
+                deleted += eng.apply_updates(comm, &updates).unwrap().deleted_replicas;
+            }
+            let fresh = ResidentIndex::build(comm, &*eng.sd, eng.index.owned.clone());
+            let index = &eng.index;
+            assert_eq!(index.envelopes, fresh.envelopes);
+            assert_eq!(index.reference, fresh.reference);
+            // The tree holds exactly the entries (envelopes[i], i).
+            let mut tree = index.rtree.clone();
+            assert_eq!(tree.len(), fresh.rtree.len());
+            for (i, env) in index.envelopes.iter().enumerate() {
+                assert_eq!(tree.remove(env, |&v| v == i), Some(i), "entry {i}");
+            }
+            assert!(tree.is_empty());
+            deleted
+        });
+        assert!(
+            out.iter().sum::<u64>() > 20,
+            "deletes must hit resident replicas"
+        );
     }
 }

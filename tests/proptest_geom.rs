@@ -369,3 +369,138 @@ proptest! {
         );
     }
 }
+
+/// Rects on a coarse lattice, so duplicates and distance ties are common;
+/// about one in ten is `Rect::EMPTY`.
+fn lattice_rect() -> impl Strategy<Value = Rect> {
+    let corner = || (0i32..16, 0i32..16).prop_map(|(x, y)| Point::new(x as f64, y as f64));
+    prop_oneof![
+        1 => Just(Rect::EMPTY),
+        9 => (corner(), corner()).prop_map(|(a, b)| Rect::from_corners(a, b)),
+    ]
+}
+
+/// Query points on a half-step lattice reaching past the data on every
+/// side.
+fn lattice_probe_point() -> impl Strategy<Value = Point> {
+    (-4i32..40, -4i32..40).prop_map(|(x, y)| Point::new(x as f64 * 0.5, y as f64 * 0.5))
+}
+
+/// Euclidean distance from `p` to the closed rect (`+∞` when empty).
+fn rect_distance(p: &Point, r: &Rect) -> f64 {
+    if r.is_empty() {
+        return f64::INFINITY;
+    }
+    let dx = (r.min_x - p.x).max(p.x - r.max_x).max(0.0);
+    let dy = (r.min_y - p.y).max(p.y - r.max_y).max(0.0);
+    dx.hypot(dy)
+}
+
+/// Top-`k` `(distance bits, id)` pairs by a best-first walk. Distances
+/// are non-negative, so their bit patterns order like the values.
+fn knn_best_first(tree: &RTree<usize>, rects: &[Rect], at: &Point, k: usize) -> Vec<(u64, usize)> {
+    let mut best = std::collections::BinaryHeap::new();
+    tree.best_first(
+        |r| rect_distance(at, r),
+        |&id| {
+            best.push((rect_distance(at, &rects[id]).to_bits(), id));
+            if best.len() > k {
+                best.pop();
+            }
+            match best.peek() {
+                Some(&(d, _)) if best.len() == k => f64::from_bits(d),
+                _ => f64::INFINITY,
+            }
+        },
+    );
+    best.into_sorted_vec()
+}
+
+/// One step of an insert/remove sequence: `(kind, rect, pick)`; kind 0
+/// removes the `pick`-th live entry, kind 1 tries to remove an id that is
+/// not stored, anything else inserts `rect`.
+fn tree_op() -> impl Strategy<Value = (u8, Rect, usize)> {
+    (0u8..5, lattice_rect(), 0usize..10_000)
+}
+
+proptest! {
+    // Trees up to 2,000 entries span several levels; fewer cases keep
+    // the run short.
+    #![proptest_config(ProptestConfig::with_cases(48).with_seed(0x6d76_696f_6b6e_6e21))]
+
+    #[test]
+    fn best_first_knn_matches_brute_force_bit_exactly(
+        rects in proptest::collection::vec(lattice_rect(), 0..2000),
+        at in lattice_probe_point(),
+        k in 1usize..2100,
+        bulk in any::<bool>(),
+    ) {
+        let tree = if bulk {
+            RTree::bulk_load(rects.iter().cloned().zip(0usize..).collect())
+        } else {
+            let mut t = RTree::new();
+            for (i, r) in rects.iter().enumerate() {
+                t.insert(*r, i);
+            }
+            t
+        };
+        let mut expect: Vec<(u64, usize)> = rects
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (rect_distance(&at, r).to_bits(), i))
+            .collect();
+        expect.sort_unstable();
+        expect.truncate(k);
+        prop_assert_eq!(knn_best_first(&tree, &rects, &at, k), expect);
+    }
+
+    #[test]
+    fn rtree_insert_remove_matches_a_vec_model(
+        initial in proptest::collection::vec(lattice_rect(), 0..600),
+        ops in proptest::collection::vec(tree_op(), 0..1500),
+        probes in proptest::collection::vec(lattice_rect(), 4),
+    ) {
+        let mut model: Vec<(Rect, usize)> = initial.iter().cloned().zip(0usize..).collect();
+        let mut tree = RTree::bulk_load(model.clone());
+        let mut next_id = model.len();
+        for (kind, rect, pick) in ops {
+            match kind {
+                0 if !model.is_empty() => {
+                    let (r, id) = model.swap_remove(pick % model.len());
+                    prop_assert_eq!(tree.remove(&r, |&v| v == id), Some(id));
+                }
+                1 => {
+                    prop_assert_eq!(tree.remove(&rect, |&v| v == usize::MAX), None);
+                }
+                _ => {
+                    tree.insert(rect, next_id);
+                    model.push((rect, next_id));
+                    next_id += 1;
+                }
+            }
+        }
+        // Compare, then drain down to a handful of entries (so the MBRs
+        // must shrink) and compare again.
+        for keep in [usize::MAX, 3] {
+            while model.len() > keep {
+                let (r, id) = model.swap_remove(0);
+                prop_assert_eq!(tree.remove(&r, |&v| v == id), Some(id));
+            }
+            prop_assert_eq!(tree.len(), model.len());
+            prop_assert_eq!(tree.is_empty(), model.is_empty());
+            prop_assert_eq!(tree.mbr(), model.iter().fold(Rect::EMPTY, |a, (r, _)| a.union(r)));
+            for probe in probes.iter().chain([Rect::new(-1.0, -1.0, 20.0, 20.0)].iter()) {
+                let mut expect: Vec<usize> = model
+                    .iter()
+                    .filter(|(r, _)| r.intersects(probe))
+                    .map(|&(_, id)| id)
+                    .collect();
+                let mut got: Vec<usize> = tree.query(probe).into_iter().copied().collect();
+                expect.sort_unstable();
+                got.sort_unstable();
+                prop_assert_eq!(tree.count(probe), expect.len());
+                prop_assert_eq!(got, expect);
+            }
+        }
+    }
+}
