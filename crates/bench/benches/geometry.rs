@@ -75,6 +75,36 @@ fn bench_wkb(c: &mut Criterion) {
     group.finish();
 }
 
+/// Lakes × Cemetery shaped like the join's refine input: heavy-tailed
+/// lake polygons and small footprints, all centred within a few
+/// footprint radii of each other so that every pair survives the MBR
+/// filter and reaches the exact test.
+fn join_candidates() -> (Vec<Geometry>, Vec<Geometry>, Vec<(usize, usize)>) {
+    let lake_gen = ShapeGen::lake_polygons();
+    let mut lake_at = SpatialDistribution::Uniform.sampler(Rect::new(0.0, 0.0, 0.01, 0.01), 7);
+    let lakes: Vec<Geometry> = (0..96)
+        .map(|_| Geometry::Polygon(lake_gen.polygon(&mut lake_at)))
+        .collect();
+    // The fixed seed draws heavy-tail lakes; the case is meant to include
+    // them.
+    assert!(lakes
+        .iter()
+        .any(|g| g.num_points() > 2 * lake_gen.base_vertices));
+    let small_gen = ShapeGen::small_polygons();
+    let mut small_at =
+        SpatialDistribution::Uniform.sampler(Rect::new(-0.03, -0.03, 0.04, 0.04), 11);
+    let cemeteries: Vec<Geometry> = (0..96)
+        .map(|_| Geometry::Polygon(small_gen.polygon(&mut small_at)))
+        .collect();
+    let pairs: Vec<(usize, usize)> = (0..lakes.len())
+        .flat_map(|li| (0..cemeteries.len()).map(move |ci| (li, ci)))
+        .filter(|&(li, ci)| lakes[li].envelope().intersects(&cemeteries[ci].envelope()))
+        .collect();
+    // The placement makes every pair an MBR candidate.
+    assert_eq!(pairs.len(), lakes.len() * cemeteries.len());
+    (lakes, cemeteries, pairs)
+}
+
 fn bench_refine(c: &mut Criterion) {
     let geoms = sample_polygons(64);
     let mut group = c.benchmark_group("refine");
@@ -86,6 +116,20 @@ fn bench_refine(c: &mut Criterion) {
                     if algo::intersects(black_box(a), black_box(bb)) {
                         hits += 1;
                     }
+                }
+            }
+            black_box(hits)
+        })
+    });
+    // Per-iteration time over `pairs.len()` gives ns per refine test.
+    let (lakes, cemeteries, pairs) = join_candidates();
+    group.throughput(Throughput::Elements(pairs.len() as u64));
+    group.bench_function("lakes_x_cemetery_candidates", |b| {
+        b.iter(|| {
+            let mut hits = 0;
+            for &(li, ci) in &pairs {
+                if algo::intersects(black_box(&lakes[li]), black_box(&cemeteries[ci])) {
+                    hits += 1;
                 }
             }
             black_box(hits)

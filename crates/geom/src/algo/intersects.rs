@@ -1,8 +1,14 @@
 //! The OGC `intersects` predicate — the refine-phase test of the paper's
 //! spatial join ("returns true iff the geometries share any portion of
 //! space").
+//!
+//! Envelope once: [`intersects_enveloped`] takes each operand's envelope
+//! from the caller and every kernel below reuses it, so one test folds
+//! over each operand's vertices for its MBR at most once (the join passes
+//! the MBRs its filter already computed and folds none). Multi-geometry
+//! members are dispatched by reference, never cloned.
 
-use super::pip::{point_in_polygon, PointLocation};
+use super::pip::{point_in_polygon, point_in_polygon_enveloped, PointLocation};
 use super::segint::segments_intersect;
 use crate::geometry::Geometry;
 use crate::linestring::LineString;
@@ -10,19 +16,52 @@ use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::rect::Rect;
 
+/// A borrowed [`Geometry`], so that the dispatch below can recurse into
+/// multi-geometry members without building an owned `Geometry` per member.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    Point(Point),
+    LineString(&'a LineString),
+    Polygon(&'a Polygon),
+    MultiPoint(&'a [Point]),
+    MultiLineString(&'a [LineString]),
+    MultiPolygon(&'a [Polygon]),
+    Collection(&'a [Geometry]),
+}
+
+impl<'a> From<&'a Geometry> for Operand<'a> {
+    fn from(g: &'a Geometry) -> Self {
+        match g {
+            Geometry::Point(p) => Operand::Point(*p),
+            Geometry::LineString(l) => Operand::LineString(l),
+            Geometry::Polygon(p) => Operand::Polygon(p),
+            Geometry::MultiPoint(m) => Operand::MultiPoint(&m.0),
+            Geometry::MultiLineString(m) => Operand::MultiLineString(&m.0),
+            Geometry::MultiPolygon(m) => Operand::MultiPolygon(&m.0),
+            Geometry::GeometryCollection(c) => Operand::Collection(&c.0),
+        }
+    }
+}
+
 /// `true` if the point lies on/in the geometry.
 pub fn point_in_geometry(p: Point, g: &Geometry) -> bool {
+    point_in_operand(p, g.into(), &g.envelope())
+}
+
+/// [`point_in_geometry`] over a borrowed operand whose envelope is `g_env`.
+fn point_in_operand(p: Point, g: Operand<'_>, g_env: &Rect) -> bool {
     match g {
-        Geometry::Point(q) => p == *q,
-        Geometry::LineString(l) => point_on_linestring(p, l),
-        Geometry::Polygon(poly) => point_in_polygon(p, poly) != PointLocation::Outside,
-        Geometry::MultiPoint(m) => m.0.contains(&p),
-        Geometry::MultiLineString(m) => m.0.iter().any(|l| point_on_linestring(p, l)),
-        Geometry::MultiPolygon(m) => {
-            m.0.iter()
-                .any(|poly| point_in_polygon(p, poly) != PointLocation::Outside)
+        Operand::Point(q) => p == q,
+        Operand::LineString(l) => point_on_linestring(p, l),
+        Operand::Polygon(poly) => {
+            point_in_polygon_enveloped(p, poly, g_env) != PointLocation::Outside
         }
-        Geometry::GeometryCollection(c) => c.0.iter().any(|g| point_in_geometry(p, g)),
+        Operand::MultiPoint(m) => m.contains(&p),
+        Operand::MultiLineString(m) => m.iter().any(|l| point_on_linestring(p, l)),
+        Operand::MultiPolygon(m) => m
+            .iter()
+            .any(|poly| point_in_polygon(p, poly) != PointLocation::Outside),
+        Operand::Collection(c) => c.iter().any(|g| point_in_geometry(p, g)),
     }
 }
 
@@ -32,12 +71,16 @@ fn point_on_linestring(p: Point, l: &LineString) -> bool {
 
 /// `true` if any segment of `a` intersects any segment of `b`.
 pub fn line_intersects_line(a: &LineString, b: &LineString) -> bool {
-    if !a.envelope().intersects(&b.envelope()) {
+    line_line(a, &a.envelope(), b, &b.envelope())
+}
+
+fn line_line(a: &LineString, a_env: &Rect, b: &LineString, b_env: &Rect) -> bool {
+    if !a_env.intersects(b_env) {
         return false;
     }
     for (p1, p2) in a.segments() {
         let seg_env = Rect::from_corners(p1, p2);
-        if !seg_env.intersects(&b.envelope()) {
+        if !seg_env.intersects(b_env) {
             continue;
         }
         for (q1, q2) in b.segments() {
@@ -51,10 +94,15 @@ pub fn line_intersects_line(a: &LineString, b: &LineString) -> bool {
 
 /// `true` if the line touches/crosses the polygon boundary or lies inside.
 pub fn line_intersects_polygon(l: &LineString, poly: &Polygon) -> bool {
-    if !l.envelope().intersects(&poly.envelope()) {
+    line_polygon(l, &l.envelope(), poly, &poly.envelope())
+}
+
+fn line_polygon(l: &LineString, l_env: &Rect, poly: &Polygon, poly_env: &Rect) -> bool {
+    if !l_env.intersects(poly_env) {
         return false;
     }
-    // Any boundary crossing?
+    // Any boundary crossing? No per-segment envelope prune here: a hole
+    // outside its shell lies outside `poly_env`, and its edges still count.
     for (p1, p2) in l.segments() {
         for (q1, q2) in poly.all_segments() {
             if segments_intersect(p1, p2, q1, q2) {
@@ -64,18 +112,22 @@ pub fn line_intersects_polygon(l: &LineString, poly: &Polygon) -> bool {
     }
     // No crossing: the line is wholly inside or wholly outside; one vertex
     // decides.
-    point_in_polygon(l.points()[0], poly) != PointLocation::Outside
+    point_in_polygon_enveloped(l.points()[0], poly, poly_env) != PointLocation::Outside
 }
 
 /// `true` if two polygons share any portion of space: boundary crossing or
 /// full containment of one in the other.
 pub fn polygon_intersects_polygon(a: &Polygon, b: &Polygon) -> bool {
-    if !a.envelope().intersects(&b.envelope()) {
+    polygon_polygon(a, &a.envelope(), b, &b.envelope())
+}
+
+fn polygon_polygon(a: &Polygon, a_env: &Rect, b: &Polygon, b_env: &Rect) -> bool {
+    if !a_env.intersects(b_env) {
         return false;
     }
     for (p1, p2) in a.all_segments() {
         let seg_env = Rect::from_corners(p1, p2);
-        if !seg_env.intersects(&b.envelope()) {
+        if !seg_env.intersects(b_env) {
             continue;
         }
         for (q1, q2) in b.all_segments() {
@@ -85,27 +137,32 @@ pub fn polygon_intersects_polygon(a: &Polygon, b: &Polygon) -> bool {
         }
     }
     // No boundary crossing: either disjoint or one contains the other.
-    point_in_polygon(a.exterior().points()[0], b) != PointLocation::Outside
-        || point_in_polygon(b.exterior().points()[0], a) != PointLocation::Outside
+    point_in_polygon_enveloped(a.exterior().points()[0], b, b_env) != PointLocation::Outside
+        || point_in_polygon_enveloped(b.exterior().points()[0], a, a_env) != PointLocation::Outside
 }
 
 /// `true` if the rectangle intersects the geometry exactly (not just its
 /// envelope) — used by grid-cell population when precise cell membership is
 /// requested.
 pub fn rect_intersects_geometry(r: &Rect, g: &Geometry) -> bool {
-    if !r.intersects(&g.envelope()) {
+    let g_env = g.envelope();
+    if !r.intersects(&g_env) {
         return false;
     }
+    // `r` is non-empty here, so it is exactly the envelope of its polygon.
     let rect_poly = rect_to_polygon(r);
     match g {
         Geometry::Point(p) => r.contains_point(p),
-        Geometry::LineString(l) => line_intersects_polygon(l, &rect_poly),
-        Geometry::Polygon(p) => polygon_intersects_polygon(p, &rect_poly),
+        Geometry::LineString(l) => line_polygon(l, &g_env, &rect_poly, r),
+        Geometry::Polygon(p) => polygon_polygon(p, &g_env, &rect_poly, r),
         Geometry::MultiPoint(m) => m.0.iter().any(|p| r.contains_point(p)),
-        Geometry::MultiLineString(m) => m.0.iter().any(|l| line_intersects_polygon(l, &rect_poly)),
+        Geometry::MultiLineString(m) => {
+            m.0.iter()
+                .any(|l| line_polygon(l, &l.envelope(), &rect_poly, r))
+        }
         Geometry::MultiPolygon(m) => {
             m.0.iter()
-                .any(|p| polygon_intersects_polygon(p, &rect_poly))
+                .any(|p| polygon_polygon(p, &p.envelope(), &rect_poly, r))
         }
         Geometry::GeometryCollection(c) => c.0.iter().any(|g| rect_intersects_geometry(r, g)),
     }
@@ -130,29 +187,58 @@ fn rect_to_polygon(r: &Rect) -> Polygon {
 ///
 /// Dispatches on both shape classes; multi-geometries distribute over their
 /// members. This is the exact test invoked by the refine phase of the
-/// spatial join exemplar.
+/// spatial join exemplar. Equivalent to [`intersects_enveloped`] with
+/// `a.envelope()` and `b.envelope()`.
 pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
+    intersects_enveloped(a, &a.envelope(), b, &b.envelope())
+}
+
+/// [`intersects`] with each operand's envelope supplied by the caller.
+///
+/// Contract: `a_env == a.envelope()` and `b_env == b.envelope()`. The
+/// kernels reuse these for the MBR rejection, the per-segment prune and
+/// the containment fallback instead of refolding the vertices; a refine
+/// loop that already holds its filter's MBRs (for example from
+/// [`crate::refkernel::envelope_batch`]) passes them here and computes no
+/// envelope at all. Any other rectangle can change the answer.
+pub fn intersects_enveloped(a: &Geometry, a_env: &Rect, b: &Geometry, b_env: &Rect) -> bool {
+    operands_intersect(a.into(), a_env, b.into(), b_env)
+}
+
+fn operands_intersect(a: Operand<'_>, a_env: &Rect, b: Operand<'_>, b_env: &Rect) -> bool {
     // MBR filter first — mirrors the library's own filter-refine discipline
     // and keeps the worst case cheap.
-    if !a.envelope().intersects(&b.envelope()) {
+    if !a_env.intersects(b_env) {
         return false;
     }
-    use Geometry as G;
+    use Operand as O;
     match (a, b) {
-        (G::Point(p), _) => point_in_geometry(*p, b),
-        (_, G::Point(p)) => point_in_geometry(*p, a),
-        (G::MultiPoint(m), _) => m.0.iter().any(|p| point_in_geometry(*p, b)),
-        (_, G::MultiPoint(m)) => m.0.iter().any(|p| point_in_geometry(*p, a)),
-        (G::GeometryCollection(c), _) => c.0.iter().any(|g| intersects(g, b)),
-        (_, G::GeometryCollection(c)) => c.0.iter().any(|g| intersects(g, a)),
-        (G::MultiLineString(m), _) => m.0.iter().any(|l| intersects(&G::LineString(l.clone()), b)),
-        (_, G::MultiLineString(m)) => m.0.iter().any(|l| intersects(&G::LineString(l.clone()), a)),
-        (G::MultiPolygon(m), _) => m.0.iter().any(|p| intersects(&G::Polygon(p.clone()), b)),
-        (_, G::MultiPolygon(m)) => m.0.iter().any(|p| intersects(&G::Polygon(p.clone()), a)),
-        (G::LineString(l1), G::LineString(l2)) => line_intersects_line(l1, l2),
-        (G::LineString(l), G::Polygon(p)) => line_intersects_polygon(l, p),
-        (G::Polygon(p), G::LineString(l)) => line_intersects_polygon(l, p),
-        (G::Polygon(p1), G::Polygon(p2)) => polygon_intersects_polygon(p1, p2),
+        (O::Point(p), _) => point_in_operand(p, b, b_env),
+        (_, O::Point(p)) => point_in_operand(p, a, a_env),
+        (O::MultiPoint(m), _) => m.iter().any(|&p| point_in_operand(p, b, b_env)),
+        (_, O::MultiPoint(m)) => m.iter().any(|&p| point_in_operand(p, a, a_env)),
+        (O::Collection(c), _) => c
+            .iter()
+            .any(|g| operands_intersect(g.into(), &g.envelope(), b, b_env)),
+        (_, O::Collection(c)) => c
+            .iter()
+            .any(|g| operands_intersect(g.into(), &g.envelope(), a, a_env)),
+        (O::MultiLineString(m), _) => m
+            .iter()
+            .any(|l| operands_intersect(O::LineString(l), &l.envelope(), b, b_env)),
+        (_, O::MultiLineString(m)) => m
+            .iter()
+            .any(|l| operands_intersect(O::LineString(l), &l.envelope(), a, a_env)),
+        (O::MultiPolygon(m), _) => m
+            .iter()
+            .any(|p| operands_intersect(O::Polygon(p), &p.envelope(), b, b_env)),
+        (_, O::MultiPolygon(m)) => m
+            .iter()
+            .any(|p| operands_intersect(O::Polygon(p), &p.envelope(), a, a_env)),
+        (O::LineString(l1), O::LineString(l2)) => line_line(l1, a_env, l2, b_env),
+        (O::LineString(l), O::Polygon(p)) => line_polygon(l, a_env, p, b_env),
+        (O::Polygon(p), O::LineString(l)) => line_polygon(l, b_env, p, a_env),
+        (O::Polygon(p1), O::Polygon(p2)) => polygon_polygon(p1, a_env, p2, b_env),
     }
 }
 

@@ -3,6 +3,13 @@
 //! The filter-and-refine strategy (paper §2) first weeds out candidate
 //! pairs with rectangle tests ([`crate::Rect::intersects`]) and then
 //! applies the exact predicates in this module to the surviving pairs.
+//!
+//! Envelope once: the exact predicate computes each operand's envelope at
+//! most once per test and threads it through every kernel. A refine loop
+//! that already holds the filter's MBRs calls [`intersects_enveloped`]
+//! with them, under the contract that each equals that geometry's
+//! [`crate::Geometry::envelope`]; [`intersects`] is the same test with
+//! the envelopes computed on entry.
 
 mod distance;
 mod intersects;
@@ -12,8 +19,8 @@ mod segint;
 
 pub use distance::{point_geometry_distance, point_segment_distance};
 pub use intersects::{
-    intersects, line_intersects_line, line_intersects_polygon, point_in_geometry,
-    polygon_intersects_polygon, rect_intersects_geometry,
+    intersects, intersects_enveloped, line_intersects_line, line_intersects_polygon,
+    point_in_geometry, polygon_intersects_polygon, rect_intersects_geometry,
 };
 pub use orient::{orientation, Orientation};
 pub use pip::{point_in_polygon, point_in_ring, PointLocation};

@@ -3,6 +3,7 @@
 use super::orient::{orientation, Orientation};
 use crate::point::Point;
 use crate::polygon::{Polygon, Ring};
+use crate::rect::Rect;
 
 /// Where a point lies relative to a ring or polygon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,12 +22,17 @@ pub fn point_in_ring(q: Point, ring: &Ring) -> PointLocation {
     for w in pts.windows(2) {
         let (a, b) = (w[0], w[1]);
 
+        // Both branches below need `q.y` within the edge's y-range, so an
+        // edge outside it is skipped before any orientation test; the
+        // answer is the same as testing every edge.
+        if q.y < a.y.min(b.y) || q.y > a.y.max(b.y) {
+            continue;
+        }
+
         // Boundary: q collinear with the edge and within its box.
-        if orientation(a, b, q) == Orientation::Collinear
-            && q.x >= a.x.min(b.x)
+        if q.x >= a.x.min(b.x)
             && q.x <= a.x.max(b.x)
-            && q.y >= a.y.min(b.y)
-            && q.y <= a.y.max(b.y)
+            && orientation(a, b, q) == Orientation::Collinear
         {
             return PointLocation::OnBoundary;
         }
@@ -53,8 +59,14 @@ pub fn point_in_ring(q: Point, ring: &Ring) -> PointLocation {
 /// [`PointLocation::Outside`]; a point on a hole boundary is
 /// [`PointLocation::OnBoundary`].
 pub fn point_in_polygon(q: Point, poly: &Polygon) -> PointLocation {
+    point_in_polygon_enveloped(q, poly, &poly.envelope())
+}
+
+/// [`point_in_polygon`] with the polygon's envelope supplied by the caller,
+/// who must pass exactly `poly.envelope()`.
+pub(crate) fn point_in_polygon_enveloped(q: Point, poly: &Polygon, env: &Rect) -> PointLocation {
     // Envelope rejection: the common case for filter survivors.
-    if !poly.envelope().contains_point(&q) {
+    if !env.contains_point(&q) {
         return PointLocation::Outside;
     }
     match point_in_ring(q, poly.exterior()) {

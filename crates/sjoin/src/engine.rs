@@ -1577,7 +1577,13 @@ mod tests {
     fn rebalance_off_is_a_noop() {
         let fs = lattice_fs(4);
         let out = World::run(WorldConfig::new(Topology::single_node(2)), move |comm| {
-            let mut eng = build_engine(comm, &fs, &EngineOptions::default());
+            // Pinned, not `default()`: the default resolves the
+            // `MVIO_REBALANCE` knob from the environment.
+            let opts = EngineOptions {
+                rebalance: RebalancePolicy::Off,
+                ..EngineOptions::default()
+            };
+            let mut eng = build_engine(comm, &fs, &opts);
             assert_eq!(eng.rebalance_threshold(), None);
             let report = eng.maybe_rebalance(comm).unwrap();
             (report.rebalanced, report.migration.shipped_bytes)

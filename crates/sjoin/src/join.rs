@@ -403,7 +403,9 @@ fn join_cell(
                 verts_a: l.geometry.num_points() as u64,
                 verts_b: r.geometry.num_points() as u64,
             });
-            if algo::intersects(&l.geometry, &r.geometry) {
+            // The filter's MBRs are the exact envelopes, so refine reuses
+            // them instead of refolding both operands.
+            if algo::intersects_enveloped(&l.geometry, &left_mbrs[li], &r.geometry, &r_mbr) {
                 results.push((l.userdata.clone(), r.userdata.clone()));
             }
         }
@@ -504,7 +506,12 @@ fn run_refine_frames(
             });
             let lg = arena.materialize(&left_refs[li]);
             let rg = arena.materialize(&right_refs[ri]);
-            if algo::intersects(&lg, &rg) {
+            // `envelope_batch` MBRs equal the materialized envelopes (same
+            // folds over the same coordinates), so refine reuses them.
+            let (l_mbr, r_mbr) = (&left_mbrs[li], &right_mbrs[ri]);
+            debug_assert_eq!(*l_mbr, lg.envelope(), "left frame MBR is not the envelope");
+            debug_assert_eq!(*r_mbr, rg.envelope(), "right frame MBR is not the envelope");
+            if algo::intersects_enveloped(&lg, l_mbr, &rg, r_mbr) {
                 results.push((
                     left[li].userdata.to_string(),
                     right[ri].userdata.to_string(),

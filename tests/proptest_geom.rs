@@ -504,3 +504,350 @@ proptest! {
         }
     }
 }
+
+/// The exact predicates as they stood before envelope-once refine, kept
+/// verbatim as the reference: every segment pair, `b`'s envelope
+/// recomputed per segment, orientation-first point-in-ring, and a cloned
+/// `Geometry` per multi-geometry member.
+mod reference {
+    use mpi_vector_io::geom::algo::{orientation, segments_intersect, Orientation, PointLocation};
+    use mpi_vector_io::geom::polygon::Ring;
+    use mpi_vector_io::geom::{Geometry, LineString, Point, Polygon, Rect};
+
+    pub fn point_in_ring(q: Point, ring: &Ring) -> PointLocation {
+        let pts = ring.points();
+        let mut inside = false;
+        for w in pts.windows(2) {
+            let (a, b) = (w[0], w[1]);
+
+            // Boundary: q collinear with the edge and within its box.
+            if orientation(a, b, q) == Orientation::Collinear
+                && q.x >= a.x.min(b.x)
+                && q.x <= a.x.max(b.x)
+                && q.y >= a.y.min(b.y)
+                && q.y <= a.y.max(b.y)
+            {
+                return PointLocation::OnBoundary;
+            }
+
+            // Crossing test: does the horizontal ray from q to +inf cross edge
+            // (a, b)? The half-open test (one endpoint strictly above, the other
+            // at-or-below) counts vertex crossings exactly once.
+            let crosses = (a.y > q.y) != (b.y > q.y);
+            if crosses {
+                let x_at = a.x + (q.y - a.y) / (b.y - a.y) * (b.x - a.x);
+                if q.x < x_at {
+                    inside = !inside;
+                }
+            }
+        }
+        if inside {
+            PointLocation::Inside
+        } else {
+            PointLocation::Outside
+        }
+    }
+
+    pub fn point_in_polygon(q: Point, poly: &Polygon) -> PointLocation {
+        // Envelope rejection: the common case for filter survivors.
+        if !poly.envelope().contains_point(&q) {
+            return PointLocation::Outside;
+        }
+        match point_in_ring(q, poly.exterior()) {
+            PointLocation::Outside => PointLocation::Outside,
+            PointLocation::OnBoundary => PointLocation::OnBoundary,
+            PointLocation::Inside => {
+                for hole in poly.interiors() {
+                    match point_in_ring(q, hole) {
+                        PointLocation::Inside => return PointLocation::Outside,
+                        PointLocation::OnBoundary => return PointLocation::OnBoundary,
+                        PointLocation::Outside => {}
+                    }
+                }
+                PointLocation::Inside
+            }
+        }
+    }
+
+    pub fn point_in_geometry(p: Point, g: &Geometry) -> bool {
+        match g {
+            Geometry::Point(q) => p == *q,
+            Geometry::LineString(l) => point_on_linestring(p, l),
+            Geometry::Polygon(poly) => point_in_polygon(p, poly) != PointLocation::Outside,
+            Geometry::MultiPoint(m) => m.0.contains(&p),
+            Geometry::MultiLineString(m) => m.0.iter().any(|l| point_on_linestring(p, l)),
+            Geometry::MultiPolygon(m) => {
+                m.0.iter()
+                    .any(|poly| point_in_polygon(p, poly) != PointLocation::Outside)
+            }
+            Geometry::GeometryCollection(c) => c.0.iter().any(|g| point_in_geometry(p, g)),
+        }
+    }
+
+    fn point_on_linestring(p: Point, l: &LineString) -> bool {
+        l.segments().any(|(a, b)| segments_intersect(a, b, p, p))
+    }
+
+    pub fn line_intersects_line(a: &LineString, b: &LineString) -> bool {
+        if !a.envelope().intersects(&b.envelope()) {
+            return false;
+        }
+        for (p1, p2) in a.segments() {
+            let seg_env = Rect::from_corners(p1, p2);
+            if !seg_env.intersects(&b.envelope()) {
+                continue;
+            }
+            for (q1, q2) in b.segments() {
+                if segments_intersect(p1, p2, q1, q2) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    pub fn line_intersects_polygon(l: &LineString, poly: &Polygon) -> bool {
+        if !l.envelope().intersects(&poly.envelope()) {
+            return false;
+        }
+        // Any boundary crossing?
+        for (p1, p2) in l.segments() {
+            for (q1, q2) in poly.all_segments() {
+                if segments_intersect(p1, p2, q1, q2) {
+                    return true;
+                }
+            }
+        }
+        // No crossing: the line is wholly inside or wholly outside; one vertex
+        // decides.
+        point_in_polygon(l.points()[0], poly) != PointLocation::Outside
+    }
+
+    pub fn polygon_intersects_polygon(a: &Polygon, b: &Polygon) -> bool {
+        if !a.envelope().intersects(&b.envelope()) {
+            return false;
+        }
+        for (p1, p2) in a.all_segments() {
+            let seg_env = Rect::from_corners(p1, p2);
+            if !seg_env.intersects(&b.envelope()) {
+                continue;
+            }
+            for (q1, q2) in b.all_segments() {
+                if segments_intersect(p1, p2, q1, q2) {
+                    return true;
+                }
+            }
+        }
+        // No boundary crossing: either disjoint or one contains the other.
+        point_in_polygon(a.exterior().points()[0], b) != PointLocation::Outside
+            || point_in_polygon(b.exterior().points()[0], a) != PointLocation::Outside
+    }
+
+    pub fn rect_intersects_geometry(r: &Rect, g: &Geometry) -> bool {
+        if !r.intersects(&g.envelope()) {
+            return false;
+        }
+        let rect_poly = rect_to_polygon(r);
+        match g {
+            Geometry::Point(p) => r.contains_point(p),
+            Geometry::LineString(l) => line_intersects_polygon(l, &rect_poly),
+            Geometry::Polygon(p) => polygon_intersects_polygon(p, &rect_poly),
+            Geometry::MultiPoint(m) => m.0.iter().any(|p| r.contains_point(p)),
+            Geometry::MultiLineString(m) => {
+                m.0.iter().any(|l| line_intersects_polygon(l, &rect_poly))
+            }
+            Geometry::MultiPolygon(m) => {
+                m.0.iter()
+                    .any(|p| polygon_intersects_polygon(p, &rect_poly))
+            }
+            Geometry::GeometryCollection(c) => c.0.iter().any(|g| rect_intersects_geometry(r, g)),
+        }
+    }
+
+    fn rect_to_polygon(r: &Rect) -> Polygon {
+        Polygon::from_coords(
+            vec![
+                Point::new(r.min_x, r.min_y),
+                Point::new(r.max_x, r.min_y),
+                Point::new(r.max_x, r.max_y),
+                Point::new(r.min_x, r.max_y),
+                Point::new(r.min_x, r.min_y),
+            ],
+            vec![],
+        )
+        .expect("rect corners always form a valid ring")
+    }
+
+    pub fn intersects(a: &Geometry, b: &Geometry) -> bool {
+        // MBR filter first — mirrors the library's own filter-refine discipline
+        // and keeps the worst case cheap.
+        if !a.envelope().intersects(&b.envelope()) {
+            return false;
+        }
+        use Geometry as G;
+        match (a, b) {
+            (G::Point(p), _) => point_in_geometry(*p, b),
+            (_, G::Point(p)) => point_in_geometry(*p, a),
+            (G::MultiPoint(m), _) => m.0.iter().any(|p| point_in_geometry(*p, b)),
+            (_, G::MultiPoint(m)) => m.0.iter().any(|p| point_in_geometry(*p, a)),
+            (G::GeometryCollection(c), _) => c.0.iter().any(|g| intersects(g, b)),
+            (_, G::GeometryCollection(c)) => c.0.iter().any(|g| intersects(g, a)),
+            (G::MultiLineString(m), _) => {
+                m.0.iter().any(|l| intersects(&G::LineString(l.clone()), b))
+            }
+            (_, G::MultiLineString(m)) => {
+                m.0.iter().any(|l| intersects(&G::LineString(l.clone()), a))
+            }
+            (G::MultiPolygon(m), _) => m.0.iter().any(|p| intersects(&G::Polygon(p.clone()), b)),
+            (_, G::MultiPolygon(m)) => m.0.iter().any(|p| intersects(&G::Polygon(p.clone()), a)),
+            (G::LineString(l1), G::LineString(l2)) => line_intersects_line(l1, l2),
+            (G::LineString(l), G::Polygon(p)) => line_intersects_polygon(l, p),
+            (G::Polygon(p), G::LineString(l)) => line_intersects_polygon(l, p),
+            (G::Polygon(p1), G::Polygon(p2)) => polygon_intersects_polygon(p1, p2),
+        }
+    }
+}
+
+/// A point on a coarse integer lattice: shared vertices, collinear
+/// overlapping edges and vertices exactly on edges are all common.
+fn lattice_vertex() -> impl Strategy<Value = Point> {
+    (0i32..9, 0i32..9).prop_map(|(x, y)| Point::new(x as f64, y as f64))
+}
+
+/// A closed lattice ring: an axis-aligned box (collinear edges with its
+/// neighbours) or 3–6 arbitrary lattice vertices, which may self-touch
+/// or self-cross — the refine kernels must agree on any input.
+fn lattice_ring() -> impl Strategy<Value = Vec<Point>> {
+    prop_oneof![
+        (lattice_vertex(), lattice_vertex()).prop_map(|(a, b)| {
+            let r = Rect::from_corners(a, b);
+            vec![
+                Point::new(r.min_x, r.min_y),
+                Point::new(r.max_x, r.min_y),
+                Point::new(r.max_x, r.max_y),
+                Point::new(r.min_x, r.max_y),
+                Point::new(r.min_x, r.min_y),
+            ]
+        }),
+        proptest::collection::vec(lattice_vertex(), 3..7).prop_map(|mut pts| {
+            pts.push(pts[0]);
+            pts
+        }),
+    ]
+}
+
+/// A lattice polygon with 0–2 holes placed anywhere on the lattice, so a
+/// hole may lie inside, across, or wholly outside its shell.
+fn lattice_polygon() -> impl Strategy<Value = Polygon> {
+    (
+        lattice_ring(),
+        proptest::collection::vec(lattice_ring(), 0..3),
+    )
+        .prop_map(|(shell, holes)| {
+            Polygon::from_coords(shell, holes).expect("closed lattice rings have 4+ points")
+        })
+}
+
+fn lattice_line() -> impl Strategy<Value = LineString> {
+    proptest::collection::vec(lattice_vertex(), 2..6)
+        .prop_map(|pts| LineString::new(pts).expect("2+ vertices form a line"))
+}
+
+fn lattice_member() -> impl Strategy<Value = Geometry> {
+    use mpi_vector_io::geom::{MultiLineString, MultiPoint, MultiPolygon};
+    prop_oneof![
+        lattice_vertex().prop_map(Geometry::Point),
+        proptest::collection::vec(lattice_vertex(), 1..4)
+            .prop_map(|v| Geometry::MultiPoint(MultiPoint(v))),
+        lattice_line().prop_map(Geometry::LineString),
+        lattice_polygon().prop_map(Geometry::Polygon),
+        proptest::collection::vec(lattice_line(), 1..4)
+            .prop_map(|v| Geometry::MultiLineString(MultiLineString(v))),
+        proptest::collection::vec(lattice_polygon(), 1..4)
+            .prop_map(|v| Geometry::MultiPolygon(MultiPolygon(v))),
+    ]
+}
+
+fn lattice_geometry() -> impl Strategy<Value = Geometry> {
+    use mpi_vector_io::geom::GeometryCollection;
+    prop_oneof![
+        6 => lattice_member(),
+        1 => proptest::collection::vec(lattice_member(), 1..3)
+            .prop_map(|v| Geometry::GeometryCollection(GeometryCollection(v))),
+    ]
+}
+
+/// The MBR the zero-copy join computes for `g`: `envelope_batch` over the
+/// borrowed WKB view.
+fn wire_mbr(g: &Geometry) -> Rect {
+    let bytes = wkb::encode(g);
+    let view = wkb::decode_ref(&bytes).unwrap().0;
+    let mut out = Vec::new();
+    mpi_vector_io::geom::refkernel::envelope_batch(&[view], &mut out);
+    out[0]
+}
+
+proptest! {
+    // ---- envelope-once refine ≡ the reference algorithm -------------
+    #![proptest_config(ProptestConfig::with_cases(1024).with_seed(0x6d76_696f_7265_666e))]
+
+    #[test]
+    fn intersects_matches_reference(a in lattice_geometry(), b in lattice_geometry()) {
+        use mpi_vector_io::geom::algo::{intersects, intersects_enveloped};
+        let expect = reference::intersects(&a, &b);
+        prop_assert_eq!(intersects(&a, &b), expect);
+        let (a_env, b_env) = (a.envelope(), b.envelope());
+        prop_assert_eq!(intersects_enveloped(&a, &a_env, &b, &b_env), expect);
+        let (a_wire, b_wire) = (wire_mbr(&a), wire_mbr(&b));
+        prop_assert_eq!(a_wire, a_env);
+        prop_assert_eq!(b_wire, b_env);
+        prop_assert_eq!(intersects_enveloped(&a, &a_wire, &b, &b_wire), expect);
+    }
+
+    #[test]
+    fn pairwise_kernels_match_reference(
+        l1 in lattice_line(),
+        l2 in lattice_line(),
+        p1 in lattice_polygon(),
+        p2 in lattice_polygon(),
+        cell in (lattice_vertex(), lattice_vertex()),
+    ) {
+        use mpi_vector_io::geom::algo as new;
+        prop_assert_eq!(new::line_intersects_line(&l1, &l2), reference::line_intersects_line(&l1, &l2));
+        for l in [&l1, &l2] {
+            for p in [&p1, &p2] {
+                prop_assert_eq!(
+                    new::line_intersects_polygon(l, p),
+                    reference::line_intersects_polygon(l, p)
+                );
+            }
+        }
+        prop_assert_eq!(
+            new::polygon_intersects_polygon(&p1, &p2),
+            reference::polygon_intersects_polygon(&p1, &p2)
+        );
+        prop_assert_eq!(
+            new::polygon_intersects_polygon(&p2, &p1),
+            reference::polygon_intersects_polygon(&p2, &p1)
+        );
+        let r = Rect::from_corners(cell.0, cell.1);
+        for g in [Geometry::LineString(l1), Geometry::Polygon(p1)] {
+            prop_assert_eq!(
+                new::rect_intersects_geometry(&r, &g),
+                reference::rect_intersects_geometry(&r, &g)
+            );
+        }
+    }
+
+    #[test]
+    fn point_location_matches_reference(
+        poly in lattice_polygon(),
+        q in (-1i32..19, -1i32..19).prop_map(|(x, y)| Point::new(x as f64 * 0.5, y as f64 * 0.5)),
+    ) {
+        use mpi_vector_io::geom::algo::point_in_ring;
+        for ring in std::iter::once(poly.exterior()).chain(poly.interiors()) {
+            prop_assert_eq!(point_in_ring(q, ring), reference::point_in_ring(q, ring));
+        }
+        prop_assert_eq!(point_in_polygon(q, &poly), reference::point_in_polygon(q, &poly));
+    }
+}
