@@ -56,6 +56,19 @@ pub use point::Point;
 pub use polygon::Polygon;
 pub use rect::Rect;
 
+/// The deepest geometry nesting the WKT parser and the WKB decoders
+/// accept. The outermost geometry is level 1 and each member of a
+/// Multi* or `GEOMETRYCOLLECTION` is one level below its container.
+///
+/// Both formats are recursive, so without a bound a hostile record of a
+/// few megabytes (100k nested `GEOMETRYCOLLECTION (` levels is 2.1 MB)
+/// overflows the parsing thread's stack and aborts the process. Real
+/// data nests a handful of levels. At this bound every recursive
+/// operation on a geometry (parse, decode, encode, write, envelope,
+/// `intersects`, drop) fits in half of the 1 MiB rank stack, even
+/// unoptimized. Deeper input is an `Err`, never an abort.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Errors produced while parsing or decoding geometry representations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GeomError {

@@ -9,6 +9,9 @@
 //! Layout per geometry: 1 byte byte-order marker (we always write 1 =
 //! little-endian and accept either), 4 byte type code, then type-specific
 //! payload of u32 counts and f64 coordinates.
+//!
+//! Both decoders reject nesting deeper than [`MAX_NESTING_DEPTH`] (each
+//! level is only 9 bytes of header, so a small buffer can nest deeply).
 
 use crate::geometry::{Geometry, GeometryType};
 use crate::linestring::LineString;
@@ -16,7 +19,7 @@ use crate::multi::{GeometryCollection, MultiLineString, MultiPoint, MultiPolygon
 use crate::point::Point;
 use crate::polygon::{Polygon, Ring};
 use crate::rect::Rect;
-use crate::{GeomError, Result};
+use crate::{GeomError, Result, MAX_NESTING_DEPTH};
 
 /// Encodes a geometry to little-endian WKB, appending to `out`.
 pub fn encode_to(g: &Geometry, out: &mut Vec<u8>) {
@@ -106,10 +109,11 @@ fn polygon_body_len(p: &crate::polygon::Polygon) -> usize {
 }
 
 /// Decodes one geometry from the front of `buf`, returning it and the
-/// number of bytes consumed.
+/// number of bytes consumed. Nesting deeper than [`MAX_NESTING_DEPTH`]
+/// is an error.
 pub fn decode(buf: &[u8]) -> Result<(Geometry, usize)> {
     let mut cur = Cursor { buf, pos: 0 };
-    let g = cur.geometry()?;
+    let g = cur.geometry(1)?;
     Ok((g, cur.pos))
 }
 
@@ -119,7 +123,7 @@ pub fn decode_all(buf: &[u8]) -> Result<Vec<Geometry>> {
     let mut out = Vec::new();
     let mut cur = Cursor { buf, pos: 0 };
     while cur.pos < buf.len() {
-        out.push(cur.geometry()?);
+        out.push(cur.geometry(1)?);
     }
     Ok(out)
 }
@@ -221,7 +225,22 @@ impl<'a> Cursor<'a> {
         Ok(pts)
     }
 
-    fn geometry(&mut self) -> Result<Geometry> {
+    /// Fails once `depth` passes [`MAX_NESTING_DEPTH`], before reading
+    /// anything, so hostile nesting is an error and not a stack overflow.
+    fn check_depth(&self, depth: usize) -> Result<()> {
+        if depth > MAX_NESTING_DEPTH {
+            Err(GeomError::Wkb(format!(
+                "geometry nests deeper than {MAX_NESTING_DEPTH} levels at offset {}",
+                self.pos
+            )))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Decodes one geometry at nesting level `depth`.
+    fn geometry(&mut self, depth: usize) -> Result<Geometry> {
+        self.check_depth(depth)?;
         let order = self.u8()?;
         let be = match order {
             0 => true,
@@ -241,7 +260,7 @@ impl<'a> Cursor<'a> {
                 let n = self.u32(be)? as usize;
                 let mut pts = Vec::with_capacity(n.min(1 << 20));
                 for _ in 0..n {
-                    match self.geometry()? {
+                    match self.geometry(depth + 1)? {
                         Geometry::Point(p) => pts.push(p),
                         other => {
                             return Err(GeomError::Wkb(format!(
@@ -257,7 +276,7 @@ impl<'a> Cursor<'a> {
                 let n = self.u32(be)? as usize;
                 let mut lines = Vec::with_capacity(n.min(1 << 20));
                 for _ in 0..n {
-                    match self.geometry()? {
+                    match self.geometry(depth + 1)? {
                         Geometry::LineString(l) => lines.push(l),
                         other => {
                             return Err(GeomError::Wkb(format!(
@@ -273,7 +292,7 @@ impl<'a> Cursor<'a> {
                 let n = self.u32(be)? as usize;
                 let mut polys = Vec::with_capacity(n.min(1 << 20));
                 for _ in 0..n {
-                    match self.geometry()? {
+                    match self.geometry(depth + 1)? {
                         Geometry::Polygon(p) => polys.push(p),
                         other => {
                             return Err(GeomError::Wkb(format!(
@@ -289,7 +308,7 @@ impl<'a> Cursor<'a> {
                 let n = self.u32(be)? as usize;
                 let mut members = Vec::with_capacity(n.min(1 << 20));
                 for _ in 0..n {
-                    members.push(self.geometry()?);
+                    members.push(self.geometry(depth + 1)?);
                 }
                 Ok(Geometry::GeometryCollection(GeometryCollection(members)))
             }
@@ -428,11 +447,12 @@ impl<'a> Cursor<'a> {
         &mut self,
         be: bool,
         expect: Option<(GeometryType, &str)>,
+        depth: usize,
     ) -> Result<MultiRef<'a>> {
         let n = self.u32(be)? as usize;
         let start = self.pos;
         for _ in 0..n {
-            let g = self.geometry_ref()?;
+            let g = self.geometry_ref(depth + 1)?;
             if let Some((ty, kw)) = expect {
                 if g.geometry_type() != ty {
                     return Err(GeomError::Wkb(format!(
@@ -452,7 +472,8 @@ impl<'a> Cursor<'a> {
     /// bounds checks, same semantic constraints (via [`Cursor::ring_ref`]
     /// and the inline `LINESTRING` checks), same errors in the same order
     /// — but nothing is materialized.
-    fn geometry_ref(&mut self) -> Result<GeomRef<'a>> {
+    fn geometry_ref(&mut self, depth: usize) -> Result<GeomRef<'a>> {
+        self.check_depth(depth)?;
         let order = self.u8()?;
         let be = match order {
             0 => true,
@@ -495,17 +516,21 @@ impl<'a> Cursor<'a> {
             }
             GeometryType::Polygon => Ok(GeomRef::Polygon(self.polygon_body_ref(be)?)),
             GeometryType::MultiPoint => self
-                .multi_ref(be, Some((GeometryType::Point, "MULTIPOINT")))
+                .multi_ref(be, Some((GeometryType::Point, "MULTIPOINT")), depth)
                 .map(GeomRef::MultiPoint),
             GeometryType::MultiLineString => self
-                .multi_ref(be, Some((GeometryType::LineString, "MULTILINESTRING")))
+                .multi_ref(
+                    be,
+                    Some((GeometryType::LineString, "MULTILINESTRING")),
+                    depth,
+                )
                 .map(GeomRef::MultiLineString),
             GeometryType::MultiPolygon => self
-                .multi_ref(be, Some((GeometryType::Polygon, "MULTIPOLYGON")))
+                .multi_ref(be, Some((GeometryType::Polygon, "MULTIPOLYGON")), depth)
                 .map(GeomRef::MultiPolygon),
-            GeometryType::GeometryCollection => {
-                self.multi_ref(be, None).map(GeomRef::GeometryCollection)
-            }
+            GeometryType::GeometryCollection => self
+                .multi_ref(be, None, depth)
+                .map(GeomRef::GeometryCollection),
         }
     }
 }
@@ -564,7 +589,7 @@ fn u32_at(data: &[u8], at: usize, be: bool) -> u32 {
 /// with the owned decode.
 pub fn decode_ref(buf: &[u8]) -> Result<(GeomRef<'_>, usize)> {
     let mut cur = Cursor { buf, pos: 0 };
-    let g = cur.geometry_ref()?;
+    let g = cur.geometry_ref(1)?;
     Ok((g, cur.pos))
 }
 
@@ -1123,6 +1148,61 @@ mod tests {
         let (v2, used2) = decode_ref(&buf[used1..]).unwrap();
         assert_eq!(used1 + used2, buf.len());
         assert_eq!(v2.to_geometry(), g2);
+    }
+
+    /// `levels` nested one-member collections around `POINT (1 2)`: 9
+    /// bytes per level.
+    fn nested_collections(levels: usize) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(levels * 9 + 21);
+        for _ in 1..levels {
+            buf.push(1);
+            buf.extend_from_slice(&7u32.to_le_bytes());
+            buf.extend_from_slice(&1u32.to_le_bytes());
+        }
+        buf.extend_from_slice(&encode(&Geometry::Point(Point::new(1.0, 2.0))));
+        buf
+    }
+
+    /// Runs `f` on a thread with a 1 MiB stack, the default rank stack.
+    fn on_rank_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .expect("no stack overflow")
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_on_a_rank_stack() {
+        let buf = nested_collections(100_000);
+        let (owned, borrowed) =
+            on_rank_stack(move || (decode(&buf).map(|_| ()), decode_ref(&buf).map(|_| ())));
+        assert!(
+            matches!(&owned, Err(GeomError::Wkb(m)) if m.contains("nests deeper")),
+            "{owned:?}"
+        );
+        assert_eq!(owned, borrowed);
+    }
+
+    #[test]
+    fn nesting_at_the_bound_works_end_to_end_on_a_rank_stack() {
+        // The deepest accepted geometry survives every recursive
+        // operation on a rank-sized stack; one level more is an error.
+        on_rank_stack(|| {
+            let buf = nested_collections(MAX_NESTING_DEPTH);
+            let (g, used) = decode(&buf).unwrap();
+            assert_eq!(used, buf.len());
+            let (view, _) = decode_ref(&buf).unwrap();
+            assert_eq!(view.to_geometry(), g);
+            assert_eq!(view.envelope(), g.envelope());
+            assert_eq!(encode(&g), buf);
+            assert_eq!(wkt::parse(&wkt::write(&g)).unwrap(), g);
+            assert!(crate::algo::intersects(&g, &g.clone()));
+            let deeper = nested_collections(MAX_NESTING_DEPTH + 1);
+            assert_ref_parity(&deeper);
+            assert!(decode(&deeper).is_err());
+        });
     }
 
     #[test]

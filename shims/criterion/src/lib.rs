@@ -3,9 +3,11 @@
 //! `criterion_main!`, `Criterion::{bench_function, benchmark_group}`,
 //! `BenchmarkGroup::{throughput, bench_function, finish}`, `Bencher::iter`
 //! and `black_box` — with a deliberately small sample budget so a full
-//! bench run stays quick. No statistics, plots or baselines: each
-//! benchmark warms up once, runs a handful of timed batches, and prints
-//! the best mean time per iteration (plus throughput when declared).
+//! bench run stays quick. No plots or baselines: each benchmark warms up
+//! once, runs a handful of timed batches, and prints the best and the
+//! median of the batches' mean times per iteration (plus throughput, from
+//! the best, when declared). The best is the least disturbed run; the
+//! median says how typical it was.
 
 use std::time::{Duration, Instant};
 
@@ -98,28 +100,37 @@ fn run_one<F: FnMut(&mut Bencher)>(id: &str, throughput: Option<Throughput>, f: 
     let per_batch = TARGET_MEASURE / BATCHES;
     let iters = (per_batch.as_nanos() / per_iter.as_nanos()).clamp(1, 1_000_000) as u64;
 
-    let mut best = Duration::MAX;
-    for _ in 0..BATCHES {
-        let mut b = Bencher {
-            iters,
-            elapsed: Duration::ZERO,
-        };
-        f(&mut b);
-        let mean = b.elapsed / (iters as u32);
-        best = best.min(mean);
-    }
+    let means: Vec<Duration> = (0..BATCHES)
+        .map(|_| {
+            let mut b = Bencher {
+                iters,
+                elapsed: Duration::ZERO,
+            };
+            f(&mut b);
+            b.elapsed / (iters as u32)
+        })
+        .collect();
+    let (best, median) = best_and_median(means);
 
+    let times = format!("{best:>12.3?}/iter  median {median:>12.3?}");
     match throughput {
         Some(Throughput::Bytes(n)) => {
             let gbps = n as f64 / best.as_secs_f64() / 1e9;
-            println!("{id:<48} {best:>12.3?}/iter  {gbps:>8.3} GB/s");
+            println!("{id:<48} {times}  {gbps:>8.3} GB/s");
         }
         Some(Throughput::Elements(n)) => {
             let meps = n as f64 / best.as_secs_f64() / 1e6;
-            println!("{id:<48} {best:>12.3?}/iter  {meps:>8.3} Melem/s");
+            println!("{id:<48} {times}  {meps:>8.3} Melem/s");
         }
-        None => println!("{id:<48} {best:>12.3?}/iter"),
+        None => println!("{id:<48} {times}"),
     }
+}
+
+/// The smallest and the median of the batch means (the upper median for
+/// an even count).
+fn best_and_median(mut means: Vec<Duration>) -> (Duration, Duration) {
+    means.sort_unstable();
+    (means[0], means[means.len() / 2])
 }
 
 #[macro_export]
@@ -151,5 +162,15 @@ mod tests {
         let mut ran = 0u64;
         c.bench_function("smoke", |b| b.iter(|| ran += 1));
         assert!(ran > 0);
+    }
+
+    #[test]
+    fn best_and_median_of_batches() {
+        let ms = Duration::from_millis;
+        assert_eq!(
+            best_and_median(vec![ms(5), ms(1), ms(9), ms(3), ms(4)]),
+            (ms(1), ms(4))
+        );
+        assert_eq!(best_and_median(vec![ms(2)]), (ms(2), ms(2)));
     }
 }

@@ -62,6 +62,56 @@ fn corrupted_wkt_record_fails_cleanly_on_every_rank() {
 }
 
 #[test]
+fn hostile_nesting_fails_cleanly_on_one_rank() {
+    // 100k nested GEOMETRYCOLLECTION levels: a 2.1 MB record, well under
+    // the record-size cap, that once overflowed the 1 MiB rank stack and
+    // aborted the process. It must fail like any malformed record: a
+    // Parse error on the rank that owns it, clean shares elsewhere. The
+    // other records carry 100 KB of userdata each, so every rank's
+    // partition (about 3 MB) is larger than the deep record.
+    const LEVELS: usize = 100_000;
+    let pad = "u".repeat(100_000);
+    let mut text = String::new();
+    for i in 0..100 {
+        if i == 35 {
+            text.push_str(&"GEOMETRYCOLLECTION (".repeat(LEVELS));
+            text.push_str("POINT (1 1)");
+            text.push_str(&")".repeat(LEVELS));
+            text.push_str("\tdeep\n");
+        } else {
+            text.push_str(&format!("POINT ({i} {i})\t{pad}\n"));
+        }
+    }
+    let fs = fs_with("deep.wkt", &text);
+    let results = World::run(WorldConfig::new(Topology::new(2, 2)), move |comm| {
+        read_features(
+            comm,
+            &fs,
+            "deep.wkt",
+            &ReadOptions::default(),
+            &WktLineParser,
+        )
+        .map(|v| v.len())
+        .map_err(|e| match e {
+            CoreError::Parse { source, .. } => Ok(source.to_string()),
+            other => Err(other.to_string()),
+        })
+    });
+    let errs: Vec<_> = results.iter().filter_map(|r| r.as_ref().err()).collect();
+    assert_eq!(errs.len(), 1, "exactly one rank owns the deep record");
+    let msg = errs[0].as_ref().expect("a Parse error");
+    assert!(msg.contains("nests deeper"), "{msg}");
+    let parsed: usize = results
+        .iter()
+        .filter_map(|r| r.as_ref().ok().copied())
+        .sum();
+    assert!(
+        (1..=98).contains(&parsed),
+        "clean shares delivered: {parsed}"
+    );
+}
+
+#[test]
 fn rank_death_mid_pipeline_aborts_whole_job() {
     // A rank panics between the exchange rounds; the rest are blocked in
     // collectives. MPI_Abort semantics must bring the job down rather

@@ -851,3 +851,524 @@ proptest! {
         prop_assert_eq!(point_in_polygon(q, &poly), reference::point_in_polygon(q, &poly));
     }
 }
+
+// ---- exact WKT coordinate lexing -----------------------------------------
+
+/// The WKT parser as it stood before the single-pass coordinate lexer,
+/// kept verbatim as the reference: every number is scanned as the maximal
+/// run of `[0-9+-.eE]` and converted by `str::parse::<f64>`. Only the
+/// `use` paths differ.
+#[allow(dead_code)]
+mod wkt_reference {
+    use mpi_vector_io::geom::multi::{
+        GeometryCollection, MultiLineString, MultiPoint, MultiPolygon,
+    };
+    use mpi_vector_io::geom::polygon::{Polygon, Ring};
+    use mpi_vector_io::geom::{GeomError, Geometry, LineString, Point, Result};
+
+    /// Parses a single WKT geometry from `input`, requiring that nothing but
+    /// whitespace follows it.
+    ///
+    /// ```
+    /// use mvio_geom::wkt;
+    /// let g = wkt::parse("POINT (30 10)").unwrap();
+    /// assert_eq!(g.num_points(), 1);
+    /// ```
+    pub fn parse(input: &str) -> Result<Geometry> {
+        let mut p = Parser::new(input);
+        let g = p.parse_geometry()?;
+        p.skip_ws();
+        if !p.at_end() {
+            return Err(p.error("trailing characters after geometry"));
+        }
+        Ok(g)
+    }
+
+    /// Parses a newline-delimited sequence of WKT geometries (the layout of the
+    /// paper's datasets: one geometry per line). Blank lines are skipped.
+    /// Returns the geometries in input order.
+    pub fn parse_many(input: &str) -> Result<Vec<Geometry>> {
+        let mut out = Vec::new();
+        for line in input.lines() {
+            let trimmed = line.trim();
+            if trimmed.is_empty() {
+                continue;
+            }
+            out.push(parse(trimmed)?);
+        }
+        Ok(out)
+    }
+
+    /// A resumable WKT parser over a string slice.
+    ///
+    /// Exposed publicly so the I/O layer can parse geometries one-by-one out of
+    /// a file partition buffer without materializing per-line `String`s.
+    pub struct Parser<'a> {
+        src: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Parser<'a> {
+        /// Creates a parser positioned at the start of `input`.
+        pub fn new(input: &'a str) -> Self {
+            Parser {
+                src: input.as_bytes(),
+                pos: 0,
+            }
+        }
+
+        /// Current byte offset into the input.
+        pub fn offset(&self) -> usize {
+            self.pos
+        }
+
+        /// `true` once the cursor has consumed all input.
+        pub fn at_end(&self) -> bool {
+            self.pos >= self.src.len()
+        }
+
+        /// Skips ASCII whitespace.
+        pub fn skip_ws(&mut self) {
+            while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
+                self.pos += 1;
+            }
+        }
+
+        fn error(&self, msg: impl Into<String>) -> GeomError {
+            GeomError::Wkt {
+                msg: msg.into(),
+                offset: self.pos,
+            }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.src.get(self.pos).copied()
+        }
+
+        fn expect(&mut self, byte: u8) -> Result<()> {
+            self.skip_ws();
+            if self.peek() == Some(byte) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                Err(self.error(format!(
+                    "expected '{}', found {:?}",
+                    byte as char,
+                    self.peek().map(|b| b as char)
+                )))
+            }
+        }
+
+        /// Consumes `byte` if it is next (after whitespace); returns whether it
+        /// was consumed.
+        fn eat(&mut self, byte: u8) -> bool {
+            self.skip_ws();
+            if self.peek() == Some(byte) {
+                self.pos += 1;
+                true
+            } else {
+                false
+            }
+        }
+
+        /// Reads an ASCII keyword (letters only), uppercased.
+        fn keyword(&mut self) -> Result<String> {
+            self.skip_ws();
+            let start = self.pos;
+            while self.pos < self.src.len() && self.src[self.pos].is_ascii_alphabetic() {
+                self.pos += 1;
+            }
+            if start == self.pos {
+                return Err(self.error("expected a geometry keyword"));
+            }
+            Ok(std::str::from_utf8(&self.src[start..self.pos])
+                // audit: the scanned bytes are ASCII letters, always valid UTF-8.
+                .expect("ASCII letters are valid UTF-8")
+                .to_ascii_uppercase())
+        }
+
+        /// Peeks whether the next token is the keyword `EMPTY`, consuming it if so.
+        fn eat_empty(&mut self) -> bool {
+            self.skip_ws();
+            let rest = &self.src[self.pos..];
+            if rest.len() >= 5 && rest[..5].eq_ignore_ascii_case(b"EMPTY") {
+                self.pos += 5;
+                true
+            } else {
+                false
+            }
+        }
+
+        fn number(&mut self) -> Result<f64> {
+            self.skip_ws();
+            let start = self.pos;
+            // Sign, digits, dot, exponent — scan the maximal plausible slice and
+            // let f64::parse validate it.
+            while self.pos < self.src.len() {
+                let b = self.src[self.pos];
+                if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
+                    self.pos += 1;
+                } else {
+                    break;
+                }
+            }
+            if start == self.pos {
+                return Err(self.error("expected a number"));
+            }
+            let text = std::str::from_utf8(&self.src[start..self.pos])
+                .map_err(|_| self.error("non-UTF8 number"))?;
+            text.parse::<f64>().map_err(|e| GeomError::Wkt {
+                msg: format!("bad number {text:?}: {e}"),
+                offset: start,
+            })
+        }
+
+        /// Parses `x y` as a coordinate pair.
+        fn coord(&mut self) -> Result<Point> {
+            let x = self.number()?;
+            let y = self.number()?;
+            Ok(Point::new(x, y))
+        }
+
+        /// Parses `( x y, x y, ... )`.
+        fn coord_list(&mut self) -> Result<Vec<Point>> {
+            self.expect(b'(')?;
+            let mut pts = vec![self.coord()?];
+            while self.eat(b',') {
+                pts.push(self.coord()?);
+            }
+            self.expect(b')')?;
+            Ok(pts)
+        }
+
+        /// Parses `( ring, ring, ... )` where each ring is a coord list.
+        fn ring_list(&mut self) -> Result<(Ring, Vec<Ring>)> {
+            self.expect(b'(')?;
+            let exterior = Ring::new(self.coord_list()?)?;
+            let mut holes = Vec::new();
+            while self.eat(b',') {
+                holes.push(Ring::new(self.coord_list()?)?);
+            }
+            self.expect(b')')?;
+            Ok((exterior, holes))
+        }
+
+        /// Parses one complete geometry starting at the cursor.
+        pub fn parse_geometry(&mut self) -> Result<Geometry> {
+            let kw = self.keyword()?;
+            match kw.as_str() {
+                "POINT" => {
+                    if self.eat_empty() {
+                        // Represent POINT EMPTY as an empty multipoint, the
+                        // conventional lossless choice.
+                        return Ok(Geometry::MultiPoint(MultiPoint(vec![])));
+                    }
+                    self.expect(b'(')?;
+                    let p = self.coord()?;
+                    self.expect(b')')?;
+                    Ok(Geometry::Point(p))
+                }
+                "LINESTRING" => {
+                    if self.eat_empty() {
+                        return Ok(Geometry::MultiLineString(MultiLineString(vec![])));
+                    }
+                    Ok(Geometry::LineString(LineString::new(self.coord_list()?)?))
+                }
+                "POLYGON" => {
+                    if self.eat_empty() {
+                        return Ok(Geometry::MultiPolygon(MultiPolygon(vec![])));
+                    }
+                    let (ext, holes) = self.ring_list()?;
+                    Ok(Geometry::Polygon(Polygon::new(ext, holes)))
+                }
+                "MULTIPOINT" => {
+                    if self.eat_empty() {
+                        return Ok(Geometry::MultiPoint(MultiPoint(vec![])));
+                    }
+                    self.expect(b'(')?;
+                    let mut pts = vec![self.multipoint_member()?];
+                    while self.eat(b',') {
+                        pts.push(self.multipoint_member()?);
+                    }
+                    self.expect(b')')?;
+                    Ok(Geometry::MultiPoint(MultiPoint(pts)))
+                }
+                "MULTILINESTRING" => {
+                    if self.eat_empty() {
+                        return Ok(Geometry::MultiLineString(MultiLineString(vec![])));
+                    }
+                    self.expect(b'(')?;
+                    let mut lines = vec![LineString::new(self.coord_list()?)?];
+                    while self.eat(b',') {
+                        lines.push(LineString::new(self.coord_list()?)?);
+                    }
+                    self.expect(b')')?;
+                    Ok(Geometry::MultiLineString(MultiLineString(lines)))
+                }
+                "MULTIPOLYGON" => {
+                    if self.eat_empty() {
+                        return Ok(Geometry::MultiPolygon(MultiPolygon(vec![])));
+                    }
+                    self.expect(b'(')?;
+                    let mut polys = Vec::new();
+                    loop {
+                        let (ext, holes) = self.ring_list()?;
+                        polys.push(Polygon::new(ext, holes));
+                        if !self.eat(b',') {
+                            break;
+                        }
+                    }
+                    self.expect(b')')?;
+                    Ok(Geometry::MultiPolygon(MultiPolygon(polys)))
+                }
+                "GEOMETRYCOLLECTION" => {
+                    if self.eat_empty() {
+                        return Ok(Geometry::GeometryCollection(GeometryCollection(vec![])));
+                    }
+                    self.expect(b'(')?;
+                    let mut members = vec![self.parse_geometry()?];
+                    while self.eat(b',') {
+                        members.push(self.parse_geometry()?);
+                    }
+                    self.expect(b')')?;
+                    Ok(Geometry::GeometryCollection(GeometryCollection(members)))
+                }
+                other => Err(self.error(format!("unknown geometry keyword {other:?}"))),
+            }
+        }
+
+        /// A MULTIPOINT member: either `(x y)` (OGC canonical) or bare `x y`
+        /// (widely produced in the wild, including OSM extracts).
+        fn multipoint_member(&mut self) -> Result<Point> {
+            if self.eat(b'(') {
+                let p = self.coord()?;
+                self.expect(b')')?;
+                Ok(p)
+            } else {
+                self.coord()
+            }
+        }
+    }
+}
+
+/// Parses `token` as both coordinates of a point and checks each against
+/// `str::parse::<f64>` by bits.
+fn check_token(token: &str) -> Result<(), TestCaseError> {
+    let want = token
+        .parse::<f64>()
+        .map_err(|e| TestCaseError::fail(format!("{token:?} is not a float: {e}")))?
+        .to_bits();
+    match wkt::parse(&format!("POINT ({token} {token})")) {
+        Ok(Geometry::Point(p)) => {
+            prop_assert_eq!(p.x.to_bits(), want, "x of {:?}", token);
+            prop_assert_eq!(p.y.to_bits(), want, "y of {:?}", token);
+            Ok(())
+        }
+        other => Err(TestCaseError::fail(format!("{token:?}: {other:?}"))),
+    }
+}
+
+/// Both parsers agree on a whole record: `Ok` by WKB bytes and end
+/// offset, `Err` by message and offset.
+fn check_record(text: &str) -> Result<(), TestCaseError> {
+    let encode = |g: Geometry| wkb::encode(&g);
+    prop_assert_eq!(
+        wkt::parse(text).map(encode),
+        wkt_reference::parse(text).map(encode),
+        "record {:?}",
+        text
+    );
+    let mut new = wkt::Parser::new(text);
+    let mut old = wkt_reference::Parser::new(text);
+    prop_assert_eq!(
+        new.parse_geometry().map(encode),
+        old.parse_geometry().map(encode)
+    );
+    prop_assert_eq!(new.offset(), old.offset());
+    Ok(())
+}
+
+/// Random finite `f64` bit patterns: every magnitude, subnormals included.
+fn finite_f64() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_filter_map("finite", |b| {
+        Some(f64::from_bits(b)).filter(|v| v.is_finite())
+    })
+}
+
+const SIGNS: [&str; 3] = ["", "-", "+"];
+
+/// 1–25 random digits with an optional sign, up to three leading zeros
+/// and a dot at any position (or none): `.5` and `5.` included.
+fn digit_string() -> impl Strategy<Value = String> {
+    (
+        0usize..3,
+        0usize..4,
+        proptest::collection::vec(0u8..10, 1..26),
+        0usize..27,
+    )
+        .prop_map(|(sign, zeros, digits, dot)| {
+            let mut s = String::from(SIGNS[sign]);
+            let body: Vec<u8> = std::iter::repeat_n(0, zeros).chain(digits).collect();
+            for (i, d) in body.iter().enumerate() {
+                if i == dot {
+                    s.push('.');
+                }
+                s.push(char::from(b'0' + d));
+            }
+            if dot == body.len() {
+                s.push('.');
+            }
+            s
+        })
+}
+
+/// A value within one unit in the last digit of a rounding midpoint
+/// `(2M + 1)·2^k` between two adjacent doubles, written exactly in decimal
+/// (with up to two trailing fraction zeros), so the lexer's exact check
+/// meets ties and near-ties with 16–19 significant digits.
+fn near_tie() -> impl Strategy<Value = String> {
+    (
+        1u64 << 52..1u64 << 53,
+        -3i32..5,
+        -1i64..2,
+        0usize..3,
+        0usize..3,
+    )
+        .prop_map(|(big_m, k, delta, zeros, sign)| {
+            let odd = u128::from(2 * big_m + 1);
+            // (2M + 1)·2^k = digits · 10^-frac
+            let (digits, frac) = if k >= 0 {
+                (odd << k, 0)
+            } else {
+                (odd * 5u128.pow(k.unsigned_abs()), k.unsigned_abs() as usize)
+            };
+            let digits = (digits as i128 + i128::from(delta)).to_string();
+            let (int, fr) = digits.split_at(digits.len() - frac);
+            let fr = format!("{fr}{}", "0".repeat(zeros));
+            let dot = if fr.is_empty() { "" } else { "." };
+            format!("{}{int}{dot}{fr}", SIGNS[sign])
+        })
+}
+
+/// `0.` then 0–30 zeros then 1–17 random digits: fraction lengths on
+/// both sides of the 22-digit exact-power limit.
+fn small_fraction() -> impl Strategy<Value = String> {
+    (0usize..31, 1u64..100_000_000_000_000_000, 0usize..3)
+        .prop_map(|(zeros, m, sign)| format!("{}0.{}{m}", SIGNS[sign], "0".repeat(zeros)))
+}
+
+/// Tokens the lexer must leave to `str::parse`, valid or not.
+const ODD_TOKENS: [&str; 22] = [
+    "1-2", "1..2", "1.", ".5", "1e", "--1", "+-1", "-", "+", ".", "e5", "1e+", "1e-3", "1E3",
+    "-.5", "+.5", "0.5.5", "1+", "5-", "00", "-0", "1.5e308",
+];
+
+fn number_token() -> impl Strategy<Value = String> {
+    prop_oneof![
+        finite_f64().prop_map(|v| format!("{v}")),
+        finite_f64().prop_map(|v| format!("{v:e}")),
+        digit_string(),
+        near_tie(),
+        small_fraction(),
+        (0usize..ODD_TOKENS.len()).prop_map(|i| ODD_TOKENS[i].to_string()),
+    ]
+}
+
+/// Whitespace (or none) between tokens.
+fn gap() -> impl Strategy<Value = &'static str> {
+    (0usize..4).prop_map(|i| ["", " ", "  ", "\t"][i])
+}
+
+fn coord_text() -> impl Strategy<Value = String> {
+    (number_token(), number_token(), gap(), gap())
+        .prop_map(|(x, y, g1, g2)| format!("{g1}{x} {y}{g2}"))
+}
+
+/// `(x y, x y, ...)` with 1–6 coordinates; closed half of the time.
+fn coord_list_text() -> impl Strategy<Value = String> {
+    (proptest::collection::vec(coord_text(), 1..7), any::<bool>()).prop_map(|(mut cs, close)| {
+        if close {
+            cs.push(cs[0].clone());
+        }
+        format!("({})", cs.join(","))
+    })
+}
+
+/// A WKT record of any kind built from arbitrary number tokens, then
+/// perhaps corrupted by deleting or inserting one byte anywhere.
+fn wkt_record() -> impl Strategy<Value = String> {
+    let geometry = prop_oneof![
+        coord_text().prop_map(|c| format!("POINT ({c})")),
+        coord_list_text().prop_map(|l| format!("LINESTRING {l}")),
+        proptest::collection::vec(coord_list_text(), 1..3)
+            .prop_map(|rs| format!("POLYGON ({})", rs.join(", "))),
+        coord_list_text().prop_map(|l| format!("MULTIPOINT {l}")),
+        (coord_text(), coord_list_text()).prop_map(|(c, l)| format!("multipoint (({c}), {l})")),
+        (coord_list_text(), coord_list_text())
+            .prop_map(|(a, b)| format!("MULTILINESTRING ({a}, {b})")),
+        coord_list_text().prop_map(|l| format!("MULTIPOLYGON (({l}))")),
+        (coord_text(), coord_list_text()).prop_map(|(c, l)| {
+            format!("GEOMETRYCOLLECTION (POINT ({c}), LINESTRING {l}, POINT EMPTY)")
+        }),
+    ];
+    (geometry, 0usize..3, any::<u64>(), 0usize..16).prop_map(|(text, edit, at, byte)| {
+        let mut bytes = text.into_bytes();
+        let at = at as usize % (bytes.len() + 1);
+        match edit {
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            2 => bytes.insert(at, b"()., -+eE0159aZ"[byte % 15]),
+            _ => {}
+        }
+        String::from_utf8(bytes).expect("ASCII edits of ASCII text")
+    })
+}
+
+proptest! {
+    // ---- the coordinate lexer ≡ str::parse, bit for bit ---------------
+    #![proptest_config(ProptestConfig::with_cases(4096).with_seed(0x6d76_696f_6c65_7821))]
+
+    #[test]
+    fn printed_doubles_parse_bit_exactly(v in finite_f64()) {
+        check_token(&format!("{v}"))?;
+        check_token(&format!("{v:e}"))?;
+        check_token(&format!("{}", -v))?;
+    }
+
+    #[test]
+    fn digit_strings_parse_bit_exactly(token in digit_string()) {
+        check_token(&token)?;
+    }
+
+    #[test]
+    fn rounding_midpoints_parse_bit_exactly(token in near_tie()) {
+        check_token(&token)?;
+    }
+
+    #[test]
+    fn long_fractions_parse_bit_exactly(token in small_fraction()) {
+        check_token(&token)?;
+    }
+
+    #[test]
+    fn records_match_the_reference_parser(text in wkt_record()) {
+        check_record(&text)?;
+    }
+}
+
+#[test]
+fn odd_tokens_match_the_reference_parser() {
+    for token in ODD_TOKENS {
+        for text in [
+            format!("POINT ({token} 1)"),
+            format!("POINT (1 {token})"),
+            format!("LINESTRING (0 0, {token} 1)"),
+            format!("MULTIPOINT ({token} {token})"),
+        ] {
+            if let Err(e) = check_record(&text) {
+                panic!("{e:?}");
+            }
+        }
+    }
+}
